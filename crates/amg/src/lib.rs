@@ -8,8 +8,8 @@
 //!   interpolation, Galerkin products) "consists of complicated components"
 //!   and **stays on the CPU**; the *solve* phase "can completely be
 //!   performed in terms of matrix-vector multiplications" and is what got
-//!   ported to the device. [`boomer::BoomerAmg::solve_cost`] charges
-//!   exactly that split to a [`hetsim::Sim`].
+//!   ported to the device. [`boomer::BoomerAmg::cycle_cost`] charges
+//!   the solve phase of that split to a [`hetsim::Sim`].
 //! * [`structured`] — the structured (PFMG-style) solver whose kernels are
 //!   "abstracted with macros called BoxLoops ... completely restructured to
 //!   allow ports of CUDA, OpenMP 4.5, RAJA and Kokkos into the isolated

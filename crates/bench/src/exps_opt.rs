@@ -5,14 +5,9 @@ use hetsim::obs::{Recorder, SpanKind};
 use icoe::report::Table;
 
 /// Opt: scheduling-policy study + texture-cache hindsight + a real SIMP run.
-///
-/// Deliberately drives the `#[deprecated]` `Policy` enum adapter rather
-/// than the `SchedPolicy` trait types: this experiment's golden document
-/// is the conformance witness that the adapter path stays byte-identical
-/// to the pre-trait simulator (ISSUE 6 acceptance criterion).
-#[allow(deprecated)]
 pub fn opt(rec: &mut Recorder) -> Vec<Table> {
-    use sched::{batch_arrivals, poisson_arrivals, simulate, Policy};
+    use icoe::cluster::simulate_pool;
+    use sched::{batch_arrivals, poisson_arrivals, Fcfs, SchedPolicy, Sjf, SjfQuota};
     const GPUS: usize = 16;
 
     // Batch mode: the policy comparison.
@@ -29,11 +24,11 @@ pub fn opt(rec: &mut Recorder) -> Vec<Table> {
         ],
     );
     for (name, p) in [
-        ("FCFS", Policy::Fcfs),
-        ("SJF", Policy::Sjf),
-        ("SJF + Quota(12)", Policy::SjfQuota { quota: 12 }),
+        ("FCFS", &Fcfs as &dyn SchedPolicy),
+        ("SJF", &Sjf),
+        ("SJF + Quota(12)", &SjfQuota { quota: 12 }),
     ] {
-        let m = simulate(&batch, GPUS, p);
+        let m = simulate_pool(&batch, GPUS, p);
         t.row(&[
             name.to_string(),
             format!("{:.0}", m.makespan),
@@ -54,7 +49,7 @@ pub fn opt(rec: &mut Recorder) -> Vec<Table> {
         ],
     );
     for rate in [0.02, 0.04, 0.06, 0.09, 0.12] {
-        let m = simulate(&poisson_arrivals(600, rate, 7), GPUS, Policy::Fcfs);
+        let m = simulate_pool(&poisson_arrivals(600, rate, 7), GPUS, &Fcfs);
         let verdict = if m.mean_wait < 60.0 {
             "stable"
         } else {

@@ -29,7 +29,7 @@ pub struct Monodomain {
     /// Diffusion coefficient * dt / h^2 (dimensionless CFL-ish number).
     pub alpha: f64,
     pub model: IonModel,
-    /// State: [cell][state_dim], cell-major.
+    /// State: `[cell][state_dim]`, cell-major.
     pub state: Vec<[f64; STATE_DIM]>,
     pub dt: f64,
 }

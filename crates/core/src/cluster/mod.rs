@@ -1,15 +1,15 @@
-//! Cluster-scale job serving: a heterogeneous fleet with power states
-//! ([`machine`]), a stochastic SLA-carrying job stream ([`stream`]), and
-//! an event-driven simulator ([`sim`]) that serves the stream under any
+//! Job serving: a heterogeneous fleet with power states ([`machine`]), a
+//! stochastic SLA-carrying job stream ([`stream`]), and the event-driven
+//! simulator ([`sim`]) that serves the stream under any
 //! [`sched::SchedPolicy`].
 //!
-//! This is the PR 6 tentpole: where `sched::des::simulate` schedules a
-//! single aggregated GPU pool, this layer schedules *nodes* — machine
-//! classes spanning GPU/no-GPU, big/small, and x86/POWER/ARM — and
-//! measures what the operations half of the paper cares about: SLA
-//! violation rate, utilization, wait percentiles, and joules (via
-//! [`hetsim::spec::PowerSpec`] per-node power states with an optional
-//! park-when-idle governor).
+//! [`ClusterSim`] is the one scheduler loop of the workspace. It
+//! schedules *nodes* — machine classes spanning GPU/no-GPU, big/small,
+//! and x86/POWER/ARM — and measures what the operations half of the
+//! paper cares about: SLA violation rate, utilization, wait percentiles,
+//! and joules (via [`hetsim::spec::PowerSpec`] per-node power states with
+//! an optional park-when-idle governor). The §4.7 study's single GPU pool
+//! is a fleet of one always-on node on the same loop ([`pool`]).
 //!
 //! ```
 //! use icoe::cluster::{job_stream, simulate_cluster, ClusterConfig, StreamConfig};
@@ -28,11 +28,11 @@
 //! ```
 
 pub mod machine;
-pub mod reference;
+pub mod pool;
 pub mod sim;
 pub mod stream;
 
 pub use machine::{default_fleet, Arch, MachineClass};
-pub use reference::simulate_cluster_reference;
+pub use pool::simulate_pool;
 pub use sim::{simulate_cluster, ClusterConfig, ClusterMetrics, ClusterSim};
 pub use stream::{job_stream, ClusterJob, Spike, StreamConfig, TaskClass};

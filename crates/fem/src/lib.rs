@@ -1,7 +1,7 @@
 //! `fem` — the MFEM stand-in (§4.10.3).
 //!
 //! "The MFEM team determined early on that the library's existing
-//! algorithms were the wrong choice for GPUs ... [they] rewrote the core
+//! algorithms were the wrong choice for GPUs ... \[they\] rewrote the core
 //! algorithms to use sum factorization and to employ partially or
 //! completely matrix-free operator representations."
 //!

@@ -1,11 +1,9 @@
 //! `des` — the unified discrete-event kernel every simulated clock in the
 //! workspace runs on.
 //!
-//! Before this module the repository stitched three timelines together per
-//! experiment: [`crate::Sim`]'s analytic busy-until stream/engine clocks,
-//! the event-driven [`crate::Network`] NIC-injection fronts, and the
-//! private `BinaryHeap` loops in `sched::des` / `icoe::cluster`. All four
-//! now share one kernel:
+//! Three kinds of clock share this one kernel: [`crate::Sim`]'s analytic
+//! busy-until stream/engine clocks, the event-driven [`crate::Network`]
+//! NIC-injection fronts, and the scheduler loop of `icoe::cluster`:
 //!
 //! * [`EventKey`] — the total order every pending event obeys: ascending
 //!   simulated `time` under [`f64::total_cmp`], ties broken by insertion

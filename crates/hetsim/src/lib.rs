@@ -49,7 +49,6 @@ pub mod network;
 pub mod obs;
 pub mod sim;
 pub mod spec;
-pub mod trace;
 pub mod unified;
 
 pub use des::{desc_nan_last, EventKernel, EventKey, EventQueue, TrackBank, TrackId, TrackSet};
@@ -62,9 +61,6 @@ pub use spec::{
     BackendSpec, CpuSpec, GpuSpec, LinkKind, LinkSpec, Machine, NetworkSpec, NodeConfig, PowerSpec,
     TopologySpec,
 };
-pub use trace::Span;
-#[allow(deprecated)]
-pub use trace::TracedSim;
 
 /// One gibibyte, in bytes.
 pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;

@@ -2,8 +2,7 @@
 //!
 //! The paper's §4.10.6 tools story (hardware-counter access, Performance
 //! Co-Pilot, "finally being able to *see* where node time goes") is
-//! reproduced here as a first-class subsystem rather than the ad-hoc span
-//! list of [`crate::trace`]:
+//! reproduced here as a first-class subsystem:
 //!
 //! * **hierarchical spans** — experiment → phase → kernel/transfer, each
 //!   with a parent id, a track (stream label, `dma`, `wall`) and a start /

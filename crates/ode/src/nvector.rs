@@ -104,7 +104,7 @@ pub struct OpCounts {
 /// "device-resident" backend. The integrator stays on the CPU; only vector
 /// data (and therefore these ops) lives on the device, exactly the
 /// SUNDIALS port architecture. A benchmark charges `OpCounts` to a
-/// [`hetsim`] device afterwards.
+/// `hetsim` device afterwards.
 #[derive(Debug, Clone)]
 pub struct CountingVec {
     pub data: Vec<f64>,

@@ -1,9 +1,9 @@
-//! `sched` — the Opt activity's job-scheduler simulator (§4.7).
+//! `sched` — the Opt activity's job-scheduling policies (§4.7).
 //!
 //! "The team decided to develop a job scheduler simulator to study job
 //! scheduling policies with job requests that represent the behavior of
 //! the topological optimization application." Its two conclusions, both
-//! reproduced by tests here:
+//! reproduced by the tests of `icoe::cluster::pool`:
 //!
 //! * with Poisson arrivals, "job arrival rate should be throttled to less
 //!   than the aggregated processing capacity of the GPUs";
@@ -11,29 +11,16 @@
 //!   increase GPU utilization (assuming availability of job duration
 //!   information)".
 //!
-//! Scheduling policies are pluggable: implement [`SchedPolicy`] (see
-//! [`policy`]) and hand it to [`simulate`] — or to the cluster-scale
-//! simulator in `icoe::cluster`, which schedules the same trait over a
-//! heterogeneous fleet with power states and SLAs. The historical
-//! [`Policy`] enum still works as a deprecated adapter.
+//! This crate holds the two halves a scheduler study feeds a simulator:
+//! the study's job streams ([`workload`]) and the pluggable policies
+//! ([`policy`]). A policy implements [`SchedPolicy`]; one event loop,
+//! `icoe::cluster::ClusterSim`, drives every policy, whether it serves a
+//! heterogeneous fleet with power states and SLAs or the study's single
+//! GPU pool (`icoe::cluster::simulate_pool`, a fleet of one node).
 
-//! ```
-//! use sched::{batch_arrivals, simulate, Policy};
-//!
-//! let jobs = batch_arrivals(100, 7);
-//! let fcfs = simulate(&jobs, 8, Policy::Fcfs);
-//! let sjf = simulate(&jobs, 8, Policy::SjfQuota { quota: 12 });
-//! assert_eq!(fcfs.completed, 100);
-//! assert!(sjf.mean_wait < fcfs.mean_wait);
-//! ```
-
-pub mod des;
 pub mod policy;
 pub mod workload;
 
-#[allow(deprecated)]
-pub use des::Policy;
-pub use des::{simulate, Metrics};
 pub use policy::{
     ClusterView, Decision, EasyBackfill, Fcfs, GpuBinPack, JobInfo, NodeView, QueuedJob,
     RunningJob, SchedPolicy, Sjf, SjfQuota, SlaUrgency,

@@ -1,16 +1,11 @@
 //! The pluggable scheduling-policy API.
 //!
-//! PR 6 opens the §4.7 simulator's closed `Copy` enum into a trait:
-//! a [`SchedPolicy`] looks at a [`ClusterView`] — the waiting queue, the
-//! running set, and (when scheduling a heterogeneous fleet rather than a
-//! single GPU pool) per-node free resources — and picks the next job to
-//! launch as a [`Decision`]. The four historical policies (FCFS, SJF,
-//! SJF+Quota, EASY backfill) are reimplemented here as concrete types
-//! with *bitwise identical* behaviour to the old enum arms (pinned by
-//! `tests/tests/sched_policy_props.rs`), and two cluster-scale policies
-//! join them: GPU-aware bin packing ([`GpuBinPack`]) and least-slack SLA
-//! urgency ([`SlaUrgency`]). The old `des::Policy` enum survives as a
-//! `#[deprecated]` adapter that forwards to these implementations.
+//! A [`SchedPolicy`] looks at a [`ClusterView`] — the waiting queue, the
+//! running set, and per-node free resources — and picks the next job to
+//! launch as a [`Decision`]. The four policies of the §4.7 study (FCFS,
+//! SJF, SJF+Quota, EASY backfill) live here as concrete types, joined by
+//! two fleet-scale policies: GPU-aware bin packing ([`GpuBinPack`]) and
+//! least-slack SLA urgency ([`SlaUrgency`]).
 //!
 //! Contract: the simulator calls [`SchedPolicy::select`] repeatedly at
 //! each event time until it returns `None`; after every accepted pick it
@@ -50,8 +45,8 @@ pub struct JobInfo {
     pub duration: f64,
     /// GPUs demanded (0 = a CPU-only job).
     pub gpus: usize,
-    /// CPU cores demanded (0 in the classic single-pool simulator, where
-    /// only GPUs are modelled).
+    /// CPU cores demanded (0 for a §4.7 pool job, where only GPUs are
+    /// modelled).
     pub cores: usize,
     pub deadline: f64,
 }
@@ -135,8 +130,10 @@ pub struct ClusterView<'a> {
     /// Free GPUs summed over the whole pool/fleet.
     pub free_gpus: usize,
     pub total_gpus: usize,
-    /// Per-node state; empty when scheduling a single aggregated pool
-    /// (the classic [`crate::des::simulate`]).
+    /// Per-node state. The simulator always fills it (a single GPU pool
+    /// is one node); a view built by hand may leave it empty to describe
+    /// an aggregated pool, which [`ClusterView::fits`] then checks
+    /// against `free_gpus`.
     pub nodes: &'a [NodeView],
 }
 
@@ -274,8 +271,8 @@ impl SchedPolicy for SjfQuota {
 
     fn on_select(&self, queue: &mut [QueuedJob], chosen: usize) {
         // A starved pick (bypassed >= quota) jumps the queue without
-        // penalising the jobs ahead of it — exactly the historical enum
-        // behaviour, where only the SJF branch aged the queue.
+        // penalising the jobs ahead of it: only a shortest-first pick
+        // ages the queue.
         if queue[chosen].bypassed < self.quota {
             for q in &mut queue[..chosen] {
                 q.bypassed += 1;
@@ -331,8 +328,8 @@ impl SchedPolicy for EasyBackfill {
 /// GPU-aware bin packing: launch the *widest* fitting job first (ties:
 /// shortest duration, then FIFO) and pin it to the compatible node with
 /// the fewest leftover GPUs (best fit), preferring already-busy nodes so
-/// idle nodes can stay in their low-power state. In single-pool mode the
-/// node pin degenerates to `None` and only the width-first order remains.
+/// idle nodes can stay in their low-power state. In a view without nodes
+/// the pin degenerates to `None` and only the width-first order remains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GpuBinPack;
 

@@ -9,9 +9,10 @@
 //!
 //! Run with: `cargo run --release -p icoe --example mummi_workflow`
 
+use icoe::cluster::simulate_pool;
 use icoe::hetsim::{machines, Sim};
 use icoe::md::{Engine, EngineKind, LennardJones, System};
-use icoe::sched::{simulate, Job, SjfQuota};
+use icoe::sched::{Job, SjfQuota};
 
 fn main() {
     // 1. Macro model: a toy concentration field on an 8x8 patch grid.
@@ -67,7 +68,7 @@ fn main() {
             gpus: 1,
         })
         .collect();
-    let metrics = simulate(&jobs, 4, SjfQuota { quota: 8 });
+    let metrics = simulate_pool(&jobs, 4, &SjfQuota { quota: 8 });
     println!(
         "\nscheduler (SJF+Quota on 4 GPUs): makespan {:.0} s, utilization {:.0} %",
         metrics.makespan,

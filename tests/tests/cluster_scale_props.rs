@@ -1,7 +1,7 @@
 //! Conformance properties for the ISSUE-10 incremental cluster simulator:
 //! the indexed, delta-maintained serving loop ([`icoe::cluster::sim`])
 //! must be **bitwise indistinguishable** from the retained naive
-//! reference loop ([`icoe::cluster::reference`]) — same metrics to the
+//! reference loop ([`xtests::simulate_cluster_reference`]) — same metrics to the
 //! last mantissa bit — across every built-in policy, stream shape, and
 //! park-governor setting. Float identity is deliberate: both loops must
 //! execute the *same float operations in the same order* (placement
@@ -18,11 +18,12 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 
 use icoe::cluster::{
-    job_stream, simulate_cluster_reference, ClusterConfig, ClusterJob, ClusterMetrics, ClusterSim,
-    StreamConfig,
+    default_fleet, job_stream, simulate_cluster, ClusterConfig, ClusterJob, ClusterMetrics,
+    ClusterSim, StreamConfig,
 };
 use icoe::hetsim::Recorder;
 use sched::{EasyBackfill, Fcfs, GpuBinPack, SchedPolicy, Sjf, SjfQuota, SlaUrgency};
+use xtests::simulate_cluster_reference;
 
 fn builtins() -> Vec<Box<dyn SchedPolicy>> {
     vec![
@@ -75,6 +76,7 @@ fn assert_bitwise(a: &ClusterMetrics, b: &ClusterMetrics, ctx: &str) -> Result<(
         ("mean_wait", a.mean_wait, b.mean_wait),
         ("p50_wait", a.p50_wait, b.p50_wait),
         ("p99_wait", a.p99_wait, b.p99_wait),
+        ("max_wait", a.max_wait, b.max_wait),
         ("makespan", a.makespan, b.makespan),
         ("joules", a.joules, b.joules),
     ] {
@@ -89,6 +91,59 @@ fn assert_bitwise(a: &ClusterMetrics, b: &ClusterMetrics, ctx: &str) -> Result<(
         );
     }
     Ok(())
+}
+
+fn small_stream() -> Vec<ClusterJob> {
+    job_stream(&StreamConfig::spiky(150, 4.0, 5))
+}
+
+/// The conformance bar in miniature (the full sweep is the proptest
+/// below): same stream, same policy, bitwise-equal metrics against the
+/// retained naive loop.
+#[test]
+fn incremental_simulator_matches_the_naive_reference_bitwise() -> Result<(), TestCaseError> {
+    let cfg = ClusterConfig::default_fleet();
+    let jobs = small_stream();
+    let rec = Recorder::noop();
+    for p in [&Fcfs as &dyn SchedPolicy, &Sjf, &GpuBinPack, &SlaUrgency] {
+        let fast = simulate_cluster(&cfg, &jobs, p, &rec);
+        let naive = simulate_cluster_reference(&cfg, &jobs, p);
+        assert_bitwise(&fast, &naive, p.name())?;
+    }
+    Ok(())
+}
+
+#[test]
+fn nan_speed_nodes_lose_placement_deterministically() -> Result<(), TestCaseError> {
+    // A node class whose speed got corrupted to NaN, listed *first* so
+    // the old `partial_cmp(..).expect("finite")` comparator would have
+    // panicked on it: every job must land on a sane node instead,
+    // identically across runs. (In the grouped placement scan, the NaN
+    // class forms the terminal speed group.)
+    let mut fleet = default_fleet();
+    let mut cursed = fleet[0].clone();
+    cursed.count = 1;
+    cursed.speed = f64::NAN;
+    fleet.insert(0, cursed);
+    let cfg = ClusterConfig {
+        fleet,
+        park_after_s: None,
+    };
+    let jobs = small_stream();
+    let rec = Recorder::noop();
+    let a = simulate_cluster(&cfg, &jobs, &Fcfs, &rec);
+    let b = simulate_cluster(&cfg, &jobs, &Fcfs, &rec);
+    assert_eq!(a, b, "NaN speeds must not break determinism");
+    assert_eq!(a.completed, jobs.len());
+    assert!(
+        a.makespan.is_finite() && a.p99_wait.is_finite(),
+        "jobs avoided the NaN-speed node: makespan {} p99 {}",
+        a.makespan,
+        a.p99_wait
+    );
+    // And it still matches the reference's ungrouped min_by scan.
+    let naive = simulate_cluster_reference(&cfg, &jobs, &Fcfs);
+    assert_bitwise(&a, &naive, "NaN-speed fleet")
 }
 
 proptest! {
@@ -110,7 +165,7 @@ proptest! {
         let rec = Recorder::noop();
         for (shape, stream) in streams(jobs, mult, seed) {
             for p in builtins() {
-                let fast = icoe::cluster::simulate_cluster(&cfg, &stream, p.as_ref(), &rec);
+                let fast = simulate_cluster(&cfg, &stream, p.as_ref(), &rec);
                 let naive = simulate_cluster_reference(&cfg, &stream, p.as_ref());
                 let ctx = format!("{} / {} / park={}", shape, p.name(), park);
                 assert_bitwise(&fast, &naive, &ctx)?;

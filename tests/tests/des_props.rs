@@ -1,13 +1,14 @@
-//! Property-based tests for the unified `hetsim::des` event kernel
-//! (ISSUE 8): the calendar queue is a faithful priority queue under any
-//! interleaving, simultaneous events keep insertion order, and the
-//! kernel-backed `sched::des::simulate` is *bitwise* identical to the
-//! pre-kernel scan loop it replaced.
+//! Property-based tests for the unified `hetsim::des` event kernel: the
+//! calendar queue is a faithful priority queue under any interleaving,
+//! simultaneous events keep insertion order, and the §4.7 GPU pool served
+//! on `ClusterSim` (`icoe::cluster::simulate_pool`) is *bitwise*
+//! identical to the original single-pool scan loop.
 
 use hetsim::des::{EventKey, EventQueue};
+use icoe::cluster::{simulate_pool, ClusterMetrics};
 use proptest::prelude::*;
 use sched::policy::{ClusterView, JobInfo, QueuedJob, RunningJob, SchedPolicy};
-use sched::{simulate, EasyBackfill, Fcfs, GpuBinPack, Job, Metrics, Sjf, SjfQuota, SlaUrgency};
+use sched::{EasyBackfill, Fcfs, GpuBinPack, Job, Sjf, SjfQuota, SlaUrgency};
 
 /// One queue operation for the interleaving property, decoded from a
 /// plain `(selector, time-knob)` tuple (the proptest shim has no
@@ -110,9 +111,21 @@ proptest! {
 
 // ---------------------------------------------------------------- conformance
 
-/// The pre-ISSUE-8 `sched::des::simulate` scan loop, copied verbatim
-/// (next-event time from an O(n) min-fold over `running` plus an arrival
-/// cursor, no event queue). The kernel-backed port must match it bitwise.
+/// What the reference loop reports, plus every job's wait in launch
+/// order.
+struct Metrics {
+    makespan: f64,
+    mean_wait: f64,
+    max_wait: f64,
+    utilization: f64,
+    completed: usize,
+    waits: Vec<f64>,
+}
+
+/// The original single-pool scheduler loop, copied verbatim (next-event
+/// time from an O(n) min-fold over `running` plus an arrival cursor, no
+/// event queue, a 1e-12 completion sweep). The pool adapter must match it
+/// bitwise.
 fn reference_simulate(jobs: &[Job], gpus: usize, policy: impl SchedPolicy) -> Metrics {
     assert!(gpus >= 1);
     assert!(
@@ -191,9 +204,13 @@ fn reference_simulate(jobs: &[Job], gpus: usize, policy: impl SchedPolicy) -> Me
         max_wait,
         utilization: busy_gpu_seconds / (gpus as f64 * makespan.max(1e-12)),
         completed: waits.len(),
+        waits,
     }
 }
 
+/// Jobs with arrival gaps `gaps`, where every gap under 2 s is forced to
+/// zero so about a quarter of the arrivals tie exactly with their
+/// predecessor.
 fn jobs_from(durations: &[f64], gaps: &[f64], widths: &[usize], gpus: usize) -> Vec<Job> {
     let mut t = 0.0;
     durations
@@ -202,7 +219,7 @@ fn jobs_from(durations: &[f64], gaps: &[f64], widths: &[usize], gpus: usize) -> 
         .zip(widths)
         .enumerate()
         .map(|(id, ((&d, &gap), &w))| {
-            t += gap;
+            t += if gap < 2.0 { 0.0 } else { gap };
             Job {
                 id,
                 arrival: t,
@@ -213,13 +230,25 @@ fn jobs_from(durations: &[f64], gaps: &[f64], widths: &[usize], gpus: usize) -> 
         .collect()
 }
 
-fn assert_bitwise_eq(a: Metrics, b: Metrics, ctx: &str) {
-    assert_eq!(a.completed, b.completed, "{ctx}: completed");
+/// Bitwise equality of the pool adapter with the reference. `mean_wait`
+/// is checked against the reference's waits summed in sorted order, the
+/// order `ClusterSim` sums them in; the reference's own launch-order sum
+/// may differ from that only by rounding.
+fn assert_bitwise_eq(got: &ClusterMetrics, want: &Metrics, ctx: &str) {
+    assert_eq!(got.completed, want.completed, "{ctx}: completed");
+    let mut sorted = want.waits.clone();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let sorted_mean = sorted.iter().sum::<f64>() / sorted.len().max(1) as f64;
+    assert!(
+        (want.mean_wait - sorted_mean).abs() <= 1e-12 * sorted_mean.abs().max(1.0),
+        "{ctx}: launch-order mean {} vs sorted mean {sorted_mean}",
+        want.mean_wait
+    );
     for (name, x, y) in [
-        ("makespan", a.makespan, b.makespan),
-        ("mean_wait", a.mean_wait, b.mean_wait),
-        ("max_wait", a.max_wait, b.max_wait),
-        ("utilization", a.utilization, b.utilization),
+        ("makespan", got.makespan, want.makespan),
+        ("max_wait", got.max_wait, want.max_wait),
+        ("utilization", got.utilization, want.utilization),
+        ("mean_wait", got.mean_wait, sorted_mean),
     ] {
         assert_eq!(
             x.to_bits(),
@@ -230,13 +259,12 @@ fn assert_bitwise_eq(a: Metrics, b: Metrics, ctx: &str) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The kernel-backed simulator reproduces the old scan loop bitwise
-    /// for every built-in policy on random workloads (including
-    /// simultaneous arrivals via zero gaps).
+    /// The pool adapter reproduces the scan loop bitwise for every
+    /// built-in policy on random workloads, exact arrival ties included.
     #[test]
-    fn kernel_backed_simulate_matches_the_scan_loop_bitwise(
+    fn pool_adapter_matches_the_scan_loop_bitwise(
         durations in prop::collection::vec(0.25f64..60.0, 1..40),
         gaps in prop::collection::vec(0.0f64..8.0, 40),
         widths in prop::collection::vec(0usize..8, 40),
@@ -253,9 +281,9 @@ proptest! {
         ];
         for p in policies {
             let name = p.name().to_string();
-            let got = simulate(&jobs, gpus, p.as_ref());
+            let got = simulate_pool(&jobs, gpus, p.as_ref());
             let want = reference_simulate(&jobs, gpus, p.as_ref());
-            assert_bitwise_eq(got, want, &name);
+            assert_bitwise_eq(&got, &want, &name);
         }
     }
 }

@@ -1,11 +1,6 @@
 //! Property-based tests on core data structures and invariants, across
 //! crates.
 
-// The scheduler property below deliberately keeps driving the deprecated
-// `Policy` enum: it doubles as coverage for the legacy adapter over the
-// `SchedPolicy` trait (see `sched_policy_props.rs` for the trait suite).
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
 proptest! {
@@ -106,7 +101,8 @@ proptest! {
         durations in prop::collection::vec(1.0f64..100.0, 1..60),
         seed in 0u64..50,
     ) {
-        use sched::{simulate, Job, Policy};
+        use icoe::cluster::simulate_pool;
+        use sched::{Fcfs, Job, SchedPolicy, Sjf, SjfQuota};
         let gpus = 4usize;
         let jobs: Vec<Job> = durations
             .iter()
@@ -118,8 +114,8 @@ proptest! {
                 gpus: 1 + id % gpus,
             })
             .collect();
-        for policy in [Policy::Fcfs, Policy::Sjf, Policy::SjfQuota { quota: 4 }] {
-            let m = simulate(&jobs, gpus, policy);
+        for policy in [&Fcfs as &dyn SchedPolicy, &Sjf, &SjfQuota { quota: 4 }] {
+            let m = simulate_pool(&jobs, gpus, policy);
             prop_assert_eq!(m.completed, jobs.len());
             prop_assert!(m.utilization <= 1.0 + 1e-9);
             let work: f64 = jobs.iter().map(|j| j.duration * j.gpus as f64).sum();

@@ -1,12 +1,10 @@
-//! Property-based tests for the `SchedPolicy` trait (PR 6): every
-//! built-in policy upholds the simulator invariants, the classic policy
-//! orderings hold, and the deprecated `Policy` enum adapter is *bitwise*
-//! equal to the trait implementations it forwards to.
+//! Property-based tests for the `SchedPolicy` trait on the §4.7 GPU
+//! pool (`icoe::cluster::simulate_pool`): every built-in policy upholds
+//! the simulator invariants, and the classic policy orderings hold.
 
+use icoe::cluster::simulate_pool;
 use proptest::prelude::*;
-use sched::{
-    simulate, EasyBackfill, Fcfs, GpuBinPack, Job, SchedPolicy, Sjf, SjfQuota, SlaUrgency,
-};
+use sched::{EasyBackfill, Fcfs, GpuBinPack, Job, SchedPolicy, Sjf, SjfQuota, SlaUrgency};
 
 fn jobs_from(durations: &[f64], gaps: &[f64], widths: &[usize], gpus: usize) -> Vec<Job> {
     let mut t = 0.0;
@@ -53,7 +51,7 @@ proptest! {
         let jobs = jobs_from(&durations, &gaps, &widths, gpus);
         let work: f64 = jobs.iter().map(|j| j.duration * j.gpus as f64).sum();
         for p in builtins() {
-            let m = simulate(&jobs, gpus, p.as_ref());
+            let m = simulate_pool(&jobs, gpus, p.as_ref());
             prop_assert_eq!(m.completed, jobs.len(), "{}", p.name());
             prop_assert!(m.utilization <= 1.0 + 1e-9, "{}", p.name());
             prop_assert!(
@@ -76,9 +74,9 @@ proptest! {
             .enumerate()
             .map(|(id, &d)| Job { id, arrival: 0.0, duration: d, gpus: 1 })
             .collect();
-        let fcfs = simulate(&jobs, 1, Fcfs);
-        let quota = simulate(&jobs, 1, SjfQuota { quota: 1_000_000 });
-        let sjf = simulate(&jobs, 1, Sjf);
+        let fcfs = simulate_pool(&jobs, 1, &Fcfs);
+        let quota = simulate_pool(&jobs, 1, &SjfQuota { quota: 1_000_000 });
+        let sjf = simulate_pool(&jobs, 1, &Sjf);
         prop_assert!(
             fcfs.mean_wait + 1e-9 >= quota.mean_wait,
             "FCFS {} < SJF+Quota {}", fcfs.mean_wait, quota.mean_wait
@@ -86,39 +84,6 @@ proptest! {
         prop_assert!(quota.mean_wait + 1e-9 >= sjf.mean_wait);
         // Same single-GPU batch: identical makespan no matter the order.
         prop_assert!((fcfs.makespan - sjf.makespan).abs() < 1e-9);
-    }
-
-    /// The deprecated `Policy` enum adapter must stay *bitwise* equal to
-    /// the trait policies it forwards to — the conformance contract that
-    /// keeps the 21 golden documents valid.
-    #[test]
-    #[allow(deprecated)]
-    fn enum_adapter_is_bitwise_equal_to_trait_policies(
-        durations in prop::collection::vec(0.5f64..60.0, 1..40),
-        gaps in prop::collection::vec(0.0f64..8.0, 40),
-        widths in prop::collection::vec(0usize..6, 40),
-        quota in 1usize..10,
-    ) {
-        use sched::Policy;
-        let gpus = 4usize;
-        let jobs = jobs_from(&durations, &gaps, &widths, gpus);
-        let pairs: Vec<(Policy, Box<dyn SchedPolicy>)> = vec![
-            (Policy::Fcfs, Box::new(Fcfs)),
-            (Policy::Sjf, Box::new(Sjf)),
-            (Policy::SjfQuota { quota }, Box::new(SjfQuota { quota })),
-            (Policy::EasyBackfill, Box::new(EasyBackfill)),
-        ];
-        for (legacy, modern) in pairs {
-            let a = simulate(&jobs, gpus, legacy);
-            let b = simulate(&jobs, gpus, modern.as_ref());
-            // Bitwise, not approximate: the adapter forwards to the very
-            // same code, so even the float noise must agree.
-            prop_assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{}", modern.name());
-            prop_assert_eq!(a.mean_wait.to_bits(), b.mean_wait.to_bits(), "{}", modern.name());
-            prop_assert_eq!(a.max_wait.to_bits(), b.max_wait.to_bits(), "{}", modern.name());
-            prop_assert_eq!(a.utilization.to_bits(), b.utilization.to_bits(), "{}", modern.name());
-            prop_assert_eq!(a.completed, b.completed);
-        }
     }
 
     /// With capacity for every job at once, each work-conserving policy
@@ -132,10 +97,10 @@ proptest! {
     ) {
         let gpus = 4 * durations.len(); // everything fits simultaneously
         let jobs = jobs_from(&durations, &gaps, &widths, 4);
-        let reference = simulate(&jobs, gpus, Fcfs);
+        let reference = simulate_pool(&jobs, gpus, &Fcfs);
         prop_assert!(reference.mean_wait.abs() < 1e-12, "no job ever waits");
         for p in builtins() {
-            let m = simulate(&jobs, gpus, p.as_ref());
+            let m = simulate_pool(&jobs, gpus, p.as_ref());
             prop_assert_eq!(m.makespan.to_bits(), reference.makespan.to_bits(), "{}", p.name());
             prop_assert_eq!(m.mean_wait.to_bits(), reference.mean_wait.to_bits(), "{}", p.name());
             prop_assert_eq!(m.completed, reference.completed);

@@ -5,13 +5,12 @@
 use hetsim::{machines, Sim, Target};
 
 /// MuMMI (Fig 4): micro MD simulations scheduled onto the node's GPUs;
-/// physics and scheduling must both hold up. (Kept on the deprecated
-/// `Policy` enum on purpose — legacy-adapter coverage.)
+/// physics and scheduling must both hold up.
 #[test]
-#[allow(deprecated)]
 fn mummi_couples_md_and_scheduler() {
+    use icoe::cluster::simulate_pool;
     use md::{Engine, LennardJones, System};
-    use sched::{simulate, Job, Policy};
+    use sched::{Job, SjfQuota};
 
     // Real micro simulations.
     let mut energies = Vec::new();
@@ -37,7 +36,7 @@ fn mummi_couples_md_and_scheduler() {
             gpus: 1,
         })
         .collect();
-    let m = simulate(&jobs, 4, Policy::SjfQuota { quota: 8 });
+    let m = simulate_pool(&jobs, 4, &SjfQuota { quota: 8 });
     assert_eq!(m.completed, 24);
     assert!(m.utilization > 0.9, "{}", m.utilization);
 }
