@@ -1,11 +1,15 @@
 //! Criterion benches for the ISSUE-10 incremental cluster serving loop.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * **Serving sweep** — full streams through `ClusterSim::run` across
 //!   jobs 10k/100k × fleet 64/1000 nodes × FCFS/SJF/SLA-Urgency. The
 //!   simulator is built once per cell and reused, so criterion times the
 //!   warm steady state the incremental design optimizes for.
+//! * **Flash crowd** — 1,800 single-GPU jobs at 1,000 jobs/s onto an idle
+//!   1k-node fleet under SJF/SLA-Urgency/EASY-Backfill: the queue runs
+//!   hundreds deep, so `SchedPolicy::select` (one `ClusterView::fits` per
+//!   queued job, answered by the free-capacity index) dominates.
 //! * **Million-job probe** — the acceptance bar of ISSUE 10: 1M jobs,
 //!   FCFS, 1k-node fleet, measured directly (criterion's sample loop is
 //!   wasteful at ~1 s/iteration) and reported as placed jobs per
@@ -27,7 +31,7 @@ use bench::exps_cluster::{fleet_scaled, rate_for};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetsim::obs::Recorder;
 use icoe::cluster::{job_stream, ClusterJob, ClusterSim, StreamConfig};
-use sched::{Fcfs, SchedPolicy, Sjf, SlaUrgency};
+use sched::{EasyBackfill, Fcfs, SchedPolicy, Sjf, SlaUrgency};
 
 /// System allocator wrapper that counts allocations, so the bench can
 /// assert the serving loop's steady state stays off the allocator.
@@ -62,6 +66,11 @@ fn stream(jobs: usize, nodes: usize) -> Vec<ClusterJob> {
     job_stream(&cfg)
 }
 
+/// Bench label suffix for a policy: `SLA-Urgency` -> `sla_urgency`.
+fn policy_label(p: &dyn SchedPolicy) -> String {
+    p.name().to_lowercase().replace('-', "_")
+}
+
 /// The serving sweep: jobs × fleet × policy, warm simulator per cell.
 fn bench_serving(c: &mut Criterion) {
     let rec = Recorder::noop();
@@ -76,7 +85,7 @@ fn bench_serving(c: &mut Criterion) {
                     "cluster/serve_j{}k_n{}_{}",
                     jobs_n / 1000,
                     nodes,
-                    p.name().to_lowercase().replace('-', "_")
+                    policy_label(p)
                 );
                 c.bench_function(&label, |b| {
                     b.iter(|| {
@@ -86,6 +95,30 @@ fn bench_serving(c: &mut Criterion) {
                 });
             }
         }
+    }
+}
+
+/// The deep-queue cell: one flash crowd of single-GPU jobs, far more than
+/// the fleet has GPUs, landing on an idle 1k-node fleet.
+fn bench_burst(c: &mut Criterion) {
+    let rec = Recorder::noop();
+    let fleet = fleet_scaled(1000);
+    let mut cfg = StreamConfig::baseline(1_800, 10);
+    cfg.base_rate = 1_000.0;
+    cfg.mix = [1.0, 0.0, 0.0, 0.0]; // GPU bursts only: one GPU each
+    let jobs = job_stream(&cfg);
+    for p in [&Sjf as &dyn SchedPolicy, &SlaUrgency, &EasyBackfill] {
+        let mut sim = ClusterSim::new(&fleet);
+        sim.run(&jobs, p, &rec); // warm the buffers out of the timing
+        c.bench_function(
+            &format!("cluster/burst_j1800_n1000_{}", policy_label(p)),
+            |b| {
+                b.iter(|| {
+                    let m = sim.run(&jobs, p, &rec);
+                    assert_eq!(m.completed, jobs.len());
+                })
+            },
+        );
     }
 }
 
@@ -143,6 +176,6 @@ fn allocation_audit(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = bench_serving, million_job_probe, allocation_audit
+    targets = bench_serving, bench_burst, million_job_probe, allocation_audit
 }
 criterion_main!(benches);

@@ -25,6 +25,9 @@
 //!   head removal is O(1) and mid-queue removal is one `memmove`;
 //! * cached `free_gpus` / capacity aggregates, updated by the same deltas
 //!   (debug builds periodically recount from scratch and assert equality);
+//! * a [`FreeCapacity`] index patched by the same deltas, so the
+//!   `ClusterView::fits` every policy asks per queued job is one compare
+//!   instead of a scan of the fleet;
 //! * reusable scratch buffers (event batch, waits, the event arena), so
 //!   the steady-state loop allocates nothing per event.
 //!
@@ -45,7 +48,7 @@
 use hetsim::des::EventKernel;
 use hetsim::obs::{quantile, Recorder, SpanKind};
 use sched::policy::desc_speed_nan_last;
-use sched::{ClusterView, JobInfo, NodeView, QueuedJob, RunningJob, SchedPolicy};
+use sched::{ClusterView, FreeCapacity, JobInfo, NodeView, QueuedJob, RunningJob, SchedPolicy};
 
 use super::machine::MachineClass;
 use super::stream::ClusterJob;
@@ -140,6 +143,11 @@ struct ClassRange {
 /// Maximum GPUs per node the packed placement key can hold (24 bits).
 const MAX_GPUS_PER_NODE: usize = (1 << 24) - 1;
 
+/// Most counters the fleet's [`FreeCapacity`] index may hold: it is sized
+/// (most GPUs per node + 1) × (most cores per node + 1), so this bounds
+/// `cores_per_node` (4 MiB of counters at most).
+const MAX_INDEX_CELLS: usize = 1 << 20;
+
 /// Sampling period (events) for the debug-build aggregate recount.
 #[cfg(debug_assertions)]
 const CHECK_EVERY: u64 = 1024;
@@ -163,6 +171,8 @@ pub struct ClusterSim {
     total_cores: usize,
     /// Cached aggregate: sum of `views[i].gpus_free`.
     free_gpus: usize,
+    /// Free-capacity index over `views`, patched by the same deltas.
+    capacity: FreeCapacity,
     events: EventKernel<Ev>,
     /// Waiting jobs in arrival order, dense behind `head` (the policy
     /// sees `&queue[head..]`; head removal is a cursor bump).
@@ -192,12 +202,23 @@ impl ClusterSim {
         let mut views: Vec<NodeView> = Vec::new();
         let mut aux: Vec<NodeAux> = Vec::new();
         let mut ranges: Vec<(usize, ClassRange)> = Vec::new();
+        let (mut max_gpus, mut max_cores) = (0usize, 0usize);
         for (ci, c) in fleet.iter().enumerate() {
             assert!(
                 c.gpus_per_node <= MAX_GPUS_PER_NODE,
                 "class {} gpus_per_node {} overflows the placement key",
                 c.name,
                 c.gpus_per_node
+            );
+            max_gpus = max_gpus.max(c.gpus_per_node);
+            max_cores = max_cores.max(c.cores_per_node);
+            assert!(
+                (max_gpus + 1).saturating_mul(max_cores.saturating_add(1)) <= MAX_INDEX_CELLS,
+                "class {} ({} GPUs, {} cores per node) grows the free-capacity index \
+                 past {MAX_INDEX_CELLS} counters",
+                c.name,
+                c.gpus_per_node,
+                c.cores_per_node
             );
             let start = views.len();
             for _ in 0..c.count {
@@ -256,6 +277,7 @@ impl ClusterSim {
         let total_gpus: usize = views.iter().map(|n| n.gpus_total).sum();
         let total_cores: usize = views.iter().map(|n| n.cores_total).sum();
         let free_gpus = total_gpus;
+        let capacity = FreeCapacity::of(&views);
         ClusterSim {
             fleet,
             park_after_s: cfg.park_after_s,
@@ -265,6 +287,7 @@ impl ClusterSim {
             total_gpus,
             total_cores,
             free_gpus,
+            capacity,
             events: EventKernel::new(),
             queue: Vec::new(),
             queue_jobs: Vec::new(),
@@ -295,6 +318,7 @@ impl ClusterSim {
             a.running = 0;
         }
         self.free_gpus = self.total_gpus;
+        self.capacity.rebuild(&self.views);
         self.events.reset();
         self.queue.clear();
         self.queue_jobs.clear();
@@ -360,8 +384,9 @@ impl ClusterSim {
     }
 
     /// From-scratch recount of the incremental aggregates: cached
-    /// `free_gpus` vs a fresh per-node sum, busy flags vs running counts,
-    /// and the job→slot index vs the running set. Debug builds assert
+    /// `free_gpus` vs a fresh per-node sum, the free-capacity index vs
+    /// one rebuilt from the node bank, busy flags vs running counts, and
+    /// the job→slot index vs the running set. Debug builds assert
     /// this periodically from the event loop (every `CHECK_EVERY`
     /// events) and once at end of run; the conformance suite
     /// (`tests/tests/cluster_scale_props.rs`) checks it explicitly.
@@ -378,7 +403,11 @@ impl ClusterSim {
             .iter()
             .enumerate()
             .all(|(pos, &j)| self.job_slot[j as usize] == pos as u32);
-        free == self.free_gpus && self.total_gpus - free == running_gpus && busy_ok && slots_ok
+        free == self.free_gpus
+            && self.total_gpus - free == running_gpus
+            && self.capacity == FreeCapacity::of(&self.views)
+            && busy_ok
+            && slots_ok
     }
 
     #[inline]
@@ -522,8 +551,10 @@ impl ClusterSim {
                         let j = &jobs[job as usize];
                         self.integrate(ni, now);
                         let v = &mut self.views[ni];
+                        let was = (v.gpus_free, v.cores_free);
                         v.gpus_free += j.gpus;
                         v.cores_free += j.cores;
+                        self.capacity.update(was, (v.gpus_free, v.cores_free));
                         self.free_gpus += j.gpus;
                         let a = &mut self.aux[ni];
                         a.running -= 1;
@@ -585,6 +616,7 @@ impl ClusterSim {
                     free_gpus: self.free_gpus,
                     total_gpus: self.total_gpus,
                     nodes: &self.views,
+                    capacity: Some(&self.capacity),
                 };
                 let Some(d) = policy.select(&view) else { break };
                 let qlen = self.queue.len() - self.head;
@@ -625,9 +657,11 @@ impl ClusterSim {
                     now + a.wake_s
                 };
                 let v = &mut self.views[ni];
+                let was = (v.gpus_free, v.cores_free);
                 v.gpus_free -= job.gpus;
                 v.cores_free -= job.cores;
                 v.busy = true;
+                self.capacity.update(was, (v.gpus_free, v.cores_free));
                 self.free_gpus -= job.gpus;
                 self.aux[ni].running += 1;
                 let runtime = job.duration / v.speed;
@@ -947,6 +981,25 @@ mod tests {
         assert!(rec.counter("cluster.jobs_completed") > 0.0);
         let tl = rec.render_timeline(60);
         assert!(tl.contains("cluster"), "timeline track present:\n{tl}");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "class huge-smp (0 GPUs, 1073741824 cores per node) grows the free-capacity index"
+    )]
+    fn oversized_core_counts_are_rejected_up_front() {
+        // The free-capacity index is sized by the widest node: a fleet
+        // claiming a billion cores per node must not allocate gigabytes.
+        let mut fleet = super::super::machine::default_fleet();
+        let mut huge = fleet[0].clone();
+        huge.name = "huge-smp";
+        huge.gpus_per_node = 0;
+        huge.cores_per_node = 1 << 30;
+        fleet.push(huge);
+        ClusterSim::new(&ClusterConfig {
+            fleet,
+            park_after_s: None,
+        });
     }
 
     #[test]

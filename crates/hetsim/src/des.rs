@@ -94,6 +94,12 @@ impl Ord for EventKey {
 /// rebuild (when the times inside it actually span a nonzero interval).
 const MAX_BUCKET: usize = 64;
 
+/// Retired buckets up to this capacity go back to the spare pool; larger
+/// ones (a big simultaneous batch grew them) are freed. The pool hands
+/// buckets out in rotation, so without the bound every spare vector in
+/// turn would grow to the largest batch and stay there.
+const SPARE_CAPACITY: usize = 2 * MAX_BUCKET;
+
 /// Fibonacci (multiplicative) hasher for the `i64` epoch keys: a single
 /// 64-bit multiply by the golden-ratio constant. Calendar epochs are
 /// small, near-sequential integers chosen by the queue itself, so
@@ -147,6 +153,8 @@ pub struct EventQueue<E> {
     /// a later epoch opening is the *steady state* of a calendar queue —
     /// without this pool every epoch transition paid a `Vec` free/alloc
     /// pair, the last per-event allocation in the cluster serving loop.
+    /// Only buckets of at most `SPARE_CAPACITY` records are kept, so the
+    /// pool's memory stays bounded however often a large batch recurs.
     spare: Vec<Vec<(EventKey, u32)>>,
     /// Min-heap over occupied epochs with lazy deletion: an epoch is
     /// pushed when its bucket is created and popped only when found
@@ -286,7 +294,7 @@ impl<E> EventQueue<E> {
                 };
                 b.push((key, slot));
             }
-            self.spare.push(bucket);
+            retire(&mut self.spare, bucket);
         }
     }
 
@@ -345,7 +353,7 @@ impl<E> EventQueue<E> {
         let (key, slot) = bucket.swap_remove(i);
         if bucket.is_empty() {
             let retired = self.buckets.remove(&epoch).expect("present");
-            self.spare.push(retired);
+            retire(&mut self.spare, retired);
             // The emptied epoch is the heap top (locate_min peeked it);
             // drop it, then drain any stale duplicates so the top stays
             // a live bucket — the invariant peek/locate_min lean on.
@@ -374,12 +382,21 @@ impl<E> EventQueue<E> {
         self.free.extend(0..self.slots.len() as u32);
         for (_, mut b) in self.buckets.drain() {
             b.clear();
-            self.spare.push(b);
+            retire(&mut self.spare, b);
         }
         self.epochs.clear();
         self.min_at.set(None);
         self.sorted = None;
         self.len = 0;
+    }
+}
+
+/// Return an emptied bucket to the spare pool, unless a large batch grew
+/// it past `SPARE_CAPACITY`.
+fn retire(spare: &mut Vec<Vec<(EventKey, u32)>>, bucket: Vec<(EventKey, u32)>) {
+    debug_assert!(bucket.is_empty());
+    if bucket.capacity() <= SPARE_CAPACITY {
+        spare.push(bucket);
     }
 }
 
@@ -690,6 +707,38 @@ mod tests {
             while q.pop().is_some() {}
         }
         assert!(q.slots.len() <= 100, "arena stayed at peak occupancy");
+    }
+
+    #[test]
+    fn spare_pool_stays_bounded_across_large_batches() {
+        // Each round opens a spread of small epochs plus one simultaneous
+        // batch far larger than `SPARE_CAPACITY`, then empties the queue
+        // (by popping, or by `clear`). The pool hands buckets out in
+        // rotation, so a pool keeping every retired bucket would let the
+        // batch grow a different spare vector each round.
+        let mut q = EventQueue::new();
+        let retained = |q: &EventQueue<u32>| -> usize { q.spare.iter().map(Vec::capacity).sum() };
+        let mut after_first = None;
+        for round in 0..40u32 {
+            for i in 0..300 {
+                q.push(f64::from(i), i);
+            }
+            for i in 0..1000 {
+                q.push(300.0, i);
+            }
+            if round % 2 == 0 {
+                while q.pop().is_some() {}
+            } else {
+                q.clear();
+            }
+            assert!(q.spare.iter().all(|b| b.capacity() <= SPARE_CAPACITY));
+            let now = retained(&q);
+            let first = *after_first.get_or_insert(now);
+            assert!(
+                now <= first,
+                "round {round}: spare pool retains {now} records, {first} after round 0"
+            );
+        }
     }
 
     #[test]

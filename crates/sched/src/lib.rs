@@ -22,7 +22,7 @@ pub mod policy;
 pub mod workload;
 
 pub use policy::{
-    ClusterView, Decision, EasyBackfill, Fcfs, GpuBinPack, JobInfo, NodeView, QueuedJob,
-    RunningJob, SchedPolicy, Sjf, SjfQuota, SlaUrgency,
+    ClusterView, Decision, EasyBackfill, Fcfs, FreeCapacity, GpuBinPack, JobInfo, NodeView,
+    QueuedJob, RunningJob, SchedPolicy, Sjf, SjfQuota, SlaUrgency,
 };
 pub use workload::{batch_arrivals, poisson_arrivals, Job};

@@ -119,6 +119,130 @@ impl NodeView {
     }
 }
 
+/// An exact index of a node bank's free capacity: answers "does this job
+/// fit on some node right now?" without visiting the nodes.
+///
+/// For each free-GPU level `g` it keeps the most free cores of any node
+/// with exactly `g` free GPUs, and the maximum of that over the levels
+/// from `g` up. A `(gpus_free, cores_free)` count histogram keeps both
+/// exact as nodes move between levels, so [`FreeCapacity::fits`] is one
+/// compare, and [`FreeCapacity::update`] walks one histogram row only
+/// when a level's widest node leaves it.
+///
+/// The index holds (most GPUs + 1) × (most cores + 1) counters, taken
+/// over every node's free and total counts. Build one for a hand-made
+/// bank with [`FreeCapacity::of`]; a simulator keeps one current by
+/// calling `update` with each node's place and finish deltas.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FreeCapacity {
+    /// Histogram columns: the most cores any node can have free, plus one.
+    stride: usize,
+    /// `count[g * stride + c]`: nodes with exactly `g` free GPUs and `c`
+    /// free cores.
+    count: Vec<u32>,
+    /// `level[g]`: one more than the most free cores of any node with
+    /// exactly `g` free GPUs (0: no such node).
+    level: Vec<usize>,
+    /// `reach[g]`: the maximum of `level[g..]`, i.e. one more than the
+    /// most free cores of any node with at least `g` free GPUs.
+    reach: Vec<usize>,
+}
+
+impl FreeCapacity {
+    /// The index of `nodes` as they stand.
+    pub fn of(nodes: &[NodeView]) -> FreeCapacity {
+        let mut index = FreeCapacity::default();
+        index.rebuild(nodes);
+        index
+    }
+
+    /// Re-index `nodes` from scratch, reusing this index's buffers.
+    ///
+    /// Panics if the index size overflows `usize`; a simulator bounds
+    /// its nodes' GPU and core counts before building one.
+    pub fn rebuild(&mut self, nodes: &[NodeView]) {
+        let levels = nodes
+            .iter()
+            .map(|n| n.gpus_total.max(n.gpus_free).saturating_add(1))
+            .max()
+            .unwrap_or(0);
+        let cores = nodes
+            .iter()
+            .map(|n| n.cores_total.max(n.cores_free))
+            .max()
+            .unwrap_or(0);
+        self.stride = cores.saturating_add(1);
+        let cells = levels
+            .checked_mul(self.stride)
+            .expect("free-capacity index size overflows usize");
+        self.count.clear();
+        self.count.resize(cells, 0);
+        self.level.clear();
+        self.level.resize(levels, 0);
+        self.reach.clear();
+        self.reach.resize(levels, 0);
+        for n in nodes {
+            self.insert(n.gpus_free, n.cores_free);
+        }
+    }
+
+    /// Can `job` start on some indexed node right now? Exactly
+    /// `nodes.iter().any(|n| n.fits(job))` over the indexed bank.
+    #[inline]
+    pub fn fits(&self, job: &JobInfo) -> bool {
+        self.reach.get(job.gpus).is_some_and(|&r| r > job.cores)
+    }
+
+    /// One node's free `(gpus, cores)` changed from `was` to `now`.
+    #[inline]
+    pub fn update(&mut self, was: (usize, usize), now: (usize, usize)) {
+        if was != now {
+            // Insert first: a node moving one level keeps the maxima below
+            // it standing, so neither walk goes past the levels it left.
+            self.insert(now.0, now.1);
+            self.remove(was.0, was.1);
+        }
+    }
+
+    fn insert(&mut self, gpus: usize, cores: usize) {
+        self.count[gpus * self.stride + cores] += 1;
+        let v = cores + 1;
+        if v > self.level[gpus] {
+            self.level[gpus] = v;
+            // Raise the suffix maxima until one already covers `v`.
+            for r in self.reach[..=gpus].iter_mut().rev() {
+                if *r >= v {
+                    break;
+                }
+                *r = v;
+            }
+        }
+    }
+
+    fn remove(&mut self, gpus: usize, cores: usize) {
+        let row = &mut self.count[gpus * self.stride..(gpus + 1) * self.stride];
+        row[cores] -= 1;
+        if row[cores] > 0 || self.level[gpus] != cores + 1 {
+            return;
+        }
+        // The level's widest node left: the next widest has fewer cores.
+        self.level[gpus] = row[..cores]
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |c| c + 1);
+        // Re-derive the suffix maxima downwards until one stands.
+        let mut above = self.reach.get(gpus + 1).copied().unwrap_or(0);
+        for g in (0..=gpus).rev() {
+            let r = self.level[g].max(above);
+            if r == self.reach[g] {
+                break;
+            }
+            self.reach[g] = r;
+            above = r;
+        }
+    }
+}
+
 /// The scheduling state a policy decides on: queue, running set, and —
 /// in cluster mode — per-node free resources.
 #[derive(Debug, Clone, Copy)]
@@ -131,19 +255,29 @@ pub struct ClusterView<'a> {
     pub free_gpus: usize,
     pub total_gpus: usize,
     /// Per-node state. The simulator always fills it (a single GPU pool
-    /// is one node); a view built by hand may leave it empty to describe
-    /// an aggregated pool, which [`ClusterView::fits`] then checks
-    /// against `free_gpus`.
+    /// is one node).
     pub nodes: &'a [NodeView],
+    /// The free-capacity index of `nodes`, which [`ClusterView::fits`]
+    /// answers from: a view that lists nodes carries
+    /// [`FreeCapacity::of`] them, or an index kept equal to it. A view
+    /// built by hand may leave `nodes` empty and this `None` to describe
+    /// an aggregated pool, which `fits` then checks against `free_gpus`.
+    pub capacity: Option<&'a FreeCapacity>,
 }
 
 impl ClusterView<'_> {
-    /// Can `job` start right now somewhere?
+    /// Can `job` start right now somewhere? One compare against the
+    /// free-capacity index (or `free_gpus` for an aggregated pool), never
+    /// a scan of the nodes.
+    #[inline]
     pub fn fits(&self, job: &JobInfo) -> bool {
-        if self.nodes.is_empty() {
-            job.gpus <= self.free_gpus
-        } else {
-            self.nodes.iter().any(|n| n.fits(job))
+        debug_assert!(
+            self.capacity.is_some() || self.nodes.is_empty(),
+            "a view that lists nodes carries their FreeCapacity"
+        );
+        match self.capacity {
+            Some(index) => index.fits(job),
+            None => job.gpus <= self.free_gpus,
         }
     }
 }
@@ -296,33 +430,37 @@ impl SchedPolicy for EasyBackfill {
         if view.fits(&head.job) {
             return Some(Decision::pick(0));
         }
-        // Shadow time: when will the head job be able to start? Computed
-        // over aggregate GPU counts (in cluster mode this is the usual
-        // conservative approximation).
-        let mut finishes: Vec<(f64, usize)> =
-            view.running.iter().map(|r| (r.finish, r.gpus)).collect();
-        finishes.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let head_need = head.job.gpus;
-        let mut avail = view.free_gpus;
-        let mut shadow = f64::INFINITY;
-        let mut extra_at_shadow = 0usize;
-        for &(f, g) in &finishes {
-            avail += g;
-            if avail >= head_need {
-                shadow = f;
-                extra_at_shadow = avail - head_need;
-                break;
-            }
-        }
         // Backfill: the first queued job (FCFS order behind the head)
         // that fits now and either finishes before the shadow or fits in
-        // the capacity left over once the head starts.
-        let idx = view.queue.iter().enumerate().skip(1).position(|(_, q)| {
-            view.fits(&q.job)
-                && (view.now + q.job.duration <= shadow + 1e-12 || q.job.gpus <= extra_at_shadow)
+        // the capacity left over once the head starts. The shadow is
+        // worked out only once some candidate fits: behind a blocked head
+        // in a deep queue, most calls find none.
+        let mut shadow = None;
+        let idx = view.queue.iter().skip(1).position(|q| {
+            view.fits(&q.job) && {
+                let (at, extra) = *shadow.get_or_insert_with(|| head_shadow(view, head.job.gpus));
+                view.now + q.job.duration <= at + 1e-12 || q.job.gpus <= extra
+            }
         })?;
         Some(Decision::pick(idx + 1))
     }
+}
+
+/// EASY's shadow time: when will a head job needing `head_need` GPUs be
+/// able to start, and how many GPUs are spare once it does? Computed over
+/// aggregate GPU counts (in cluster mode this is the usual conservative
+/// approximation).
+fn head_shadow(view: &ClusterView, head_need: usize) -> (f64, usize) {
+    let mut finishes: Vec<(f64, usize)> = view.running.iter().map(|r| (r.finish, r.gpus)).collect();
+    finishes.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut avail = view.free_gpus;
+    for &(f, g) in &finishes {
+        avail += g;
+        if avail >= head_need {
+            return (f, avail - head_need);
+        }
+    }
+    (f64::INFINITY, 0)
 }
 
 /// GPU-aware bin packing: launch the *widest* fitting job first (ties:
@@ -425,6 +563,7 @@ mod tests {
             free_gpus: free,
             total_gpus: total,
             nodes: &[],
+            capacity: None,
         }
     }
 
@@ -494,6 +633,7 @@ mod tests {
             free_gpus: 12,
             total_gpus: 16,
             nodes: &nodes,
+            capacity: Some(&FreeCapacity::of(&nodes)),
         };
         let d = GpuBinPack.select(&v).expect("fits");
         assert_eq!(d.queue_idx, 1, "the 4-GPU job goes first");
@@ -534,6 +674,7 @@ mod tests {
             free_gpus: 4,
             total_gpus: 4,
             nodes: &nodes,
+            capacity: Some(&FreeCapacity::of(&nodes)),
         };
         let d = SlaUrgency.select(&v).expect("fits");
         assert_eq!(d.queue_idx, 1);
@@ -589,6 +730,7 @@ mod tests {
             free_gpus: 4,
             total_gpus: 4,
             nodes: &[slow, fast],
+            capacity: Some(&FreeCapacity::of(&[slow, fast])),
         };
         let d = SlaUrgency.select(&v).expect("fits");
         assert_eq!(d.node, Some(1), "NaN speed must lose placement");
@@ -597,6 +739,91 @@ mod tests {
         speeds.sort_by(|a, b| desc_speed_nan_last(*a, *b));
         assert!(speeds[0].is_infinite() && speeds[1] == 2.0 && speeds[2] == 1.0);
         assert!(speeds[3].is_nan());
+    }
+
+    fn node(id: usize, gpus: usize, cores: usize) -> NodeView {
+        NodeView {
+            id,
+            class: 0,
+            gpus_free: gpus,
+            cores_free: cores,
+            gpus_total: gpus,
+            cores_total: cores,
+            speed: 1.0,
+            busy: false,
+        }
+    }
+
+    #[test]
+    fn an_empty_bank_fits_nothing() {
+        // Not even a job demanding nothing: there is no node to run it.
+        assert!(!FreeCapacity::of(&[]).fits(&job(0, 1.0, 0).job));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The incrementally patched index answers every demand exactly
+        /// like the node scan and equals one rebuilt from scratch, over
+        /// random heterogeneous banks and random place/finish deltas.
+        #[test]
+        fn patched_free_capacity_matches_the_node_scan(
+            shapes in proptest::prelude::prop::collection::vec((0usize..6, 0usize..12), 1..16),
+            deltas in proptest::prelude::prop::collection::vec(
+                (0usize..16, 0u8..2, 0usize..4, 0usize..8),
+                0..60,
+            ),
+        ) {
+            let mut nodes: Vec<NodeView> = shapes
+                .iter()
+                .enumerate()
+                .map(|(id, &(gpus, cores))| node(id, gpus, cores))
+                .collect();
+            let max_gpus = shapes.iter().map(|s| s.0).max().unwrap_or(0);
+            let max_cores = shapes.iter().map(|s| s.1).max().unwrap_or(0);
+            let mut index = FreeCapacity::of(&nodes);
+            for (k, place, gpus, cores) in deltas {
+                let n = &mut nodes[k % shapes.len()];
+                let was = (n.gpus_free, n.cores_free);
+                if place == 1 {
+                    if n.gpus_free < gpus || n.cores_free < cores {
+                        continue;
+                    }
+                    n.gpus_free -= gpus;
+                    n.cores_free -= cores;
+                } else {
+                    if n.gpus_free + gpus > n.gpus_total || n.cores_free + cores > n.cores_total {
+                        continue;
+                    }
+                    n.gpus_free += gpus;
+                    n.cores_free += cores;
+                }
+                index.update(was, (n.gpus_free, n.cores_free));
+                proptest::prop_assert_eq!(&index, &FreeCapacity::of(&nodes));
+                let view = ClusterView {
+                    now: 0.0,
+                    queue: &[],
+                    running: &[],
+                    free_gpus: nodes.iter().map(|n| n.gpus_free).sum(),
+                    total_gpus: nodes.iter().map(|n| n.gpus_total).sum(),
+                    nodes: &nodes,
+                    capacity: Some(&index),
+                };
+                // Every demand, CPU-only jobs and jobs too big for every
+                // node included.
+                for gpus in 0..=max_gpus + 1 {
+                    for cores in 0..=max_cores + 1 {
+                        let demand = JobInfo {
+                            gpus,
+                            cores,
+                            ..job(0, 1.0, 0).job
+                        };
+                        let scan = nodes.iter().any(|n| n.fits(&demand));
+                        proptest::prop_assert_eq!(view.fits(&demand), scan, "{} GPUs, {} cores", gpus, cores);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

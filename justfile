@@ -108,3 +108,35 @@ des-smoke:
     awk -v r="$rps" 'BEGIN { exit !(r >= 100000) }'
     rm -f des.txt
     cargo bench --offline -p bench --bench des
+
+# A/B the repository benchmark the way a performance claim is judged:
+# build `perfbench` at <base_ref> (exported with `git archive`) and at the
+# working tree, run <pairs> pairs of <workload> runs for BENCHMARK.json's
+# `run_seconds`, alternating which side goes first, then print
+# `perfbench compare`. Extra arguments (e.g. `--seed 97`) go to every
+# run; the run outputs are kept in out/perf-pairs/<workload>/.
+#   just perf-pairs HEAD~1 fleet-burst
+perf-pairs base_ref workload pairs="10" *args:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    secs=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
+    base=$(mktemp -d "${TMPDIR:-/tmp}/perf-pairs.XXXXXX")
+    trap 'rm -rf "$base"' EXIT
+    git archive "{{base_ref}}" | tar -x -C "$base"
+    CARGO_TARGET_DIR="$base/target" cargo build --release --quiet --offline \
+        --manifest-path "$base/perfbench/Cargo.toml"
+    cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
+    runs="out/perf-pairs/{{workload}}"
+    rm -rf "$runs" && mkdir -p "$runs"
+    # Each side runs from its own tree, where it stamps its fingerprint.
+    run() {
+        local dir=. bin=perfbench/target/release/perfbench
+        if [ "$1" = base ]; then dir=$base bin=target/release/perfbench; fi
+        (cd "$dir" && "$bin" --workload {{workload}} --seconds "$secs" {{args}}) \
+            > "$runs/$1-$2.txt"
+    }
+    for i in $(seq 1 {{pairs}}); do
+        if [ $((i % 2)) = 1 ]; then run base "$i"; run head "$i"; else run head "$i"; run base "$i"; fi
+        echo "pair $i of {{pairs}} done" >&2
+    done
+    perfbench/target/release/perfbench compare --base "$runs"/base-*.txt --head "$runs"/head-*.txt

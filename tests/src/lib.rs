@@ -22,7 +22,9 @@ use icoe::cluster::{ClusterConfig, ClusterJob, ClusterMetrics, MachineClass};
 use icoe::hetsim::des::EventKernel;
 use icoe::hetsim::obs::quantile;
 use icoe::sched::policy::desc_speed_nan_last;
-use icoe::sched::{ClusterView, JobInfo, NodeView, QueuedJob, RunningJob, SchedPolicy};
+use icoe::sched::{
+    ClusterView, FreeCapacity, JobInfo, NodeView, QueuedJob, RunningJob, SchedPolicy,
+};
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -229,6 +231,7 @@ pub fn simulate_cluster_reference(
                 free_gpus,
                 total_gpus,
                 nodes: &node_views,
+                capacity: Some(&FreeCapacity::of(&node_views)),
             };
             let Some(d) = policy.select(&view) else { break };
             if d.queue_idx >= queue.len() {

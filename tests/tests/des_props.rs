@@ -152,6 +152,7 @@ fn reference_simulate(jobs: &[Job], gpus: usize, policy: impl SchedPolicy) -> Me
                 free_gpus: free,
                 total_gpus: gpus,
                 nodes: &[],
+                capacity: None,
             };
             let Some(d) = policy.select(&view) else { break };
             policy.on_select(&mut queue, d.queue_idx);
