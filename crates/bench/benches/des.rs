@@ -4,11 +4,41 @@
 //! prints `des.ranks_per_s.r<N> <value>` lines — simulated ranks pushed
 //! and popped per host wall-second; the EXPERIMENTS.md target is ≥1M
 //! ranks/s at the 1M-rank point on a release build.
+//!
+//! The warm jittered batch (`des/jitter_batch_r4096`) is the shape one
+//! simulated training step drives: 4,096 distinct rank-ready times inside
+//! 5 µs, pushed in shuffled order into a kernel reused across rounds, so
+//! the calendar width has already narrowed. Its probe prints
+//! `des.ns_per_event.jitter_r4096 <ns>` (one push plus one pop per
+//! event), and a counting global allocator asserts the warm rounds make
+//! 0 allocations per event.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetsim::des::EventKernel;
+
+/// System allocator wrapper that counts allocations, so the bench can
+/// assert the warm jittered rounds stay off the allocator.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Ranks per host (the sierra preset's GPU count).
 const RANKS_PER_HOST: usize = 4;
@@ -102,9 +132,79 @@ fn bench_ranks_per_s(c: &mut Criterion) {
     });
 }
 
+/// Rank-ready events per jittered round.
+const JITTER_RANKS: usize = 4096;
+/// The rank-ready delays span this window, seconds.
+const JITTER_WINDOW: f64 = 5e-6;
+
+/// `JITTER_RANKS` distinct delays on an even grid over `JITTER_WINDOW`,
+/// dealt to ranks by a fixed Fisher-Yates shuffle (SplitMix64 draws).
+fn jitter_delays() -> Vec<f64> {
+    let mut delays: Vec<f64> = (0..JITTER_RANKS)
+        .map(|k| JITTER_WINDOW * (k as f64 + 0.5) / JITTER_RANKS as f64)
+        .collect();
+    let mut state = 42u64;
+    for i in (1..JITTER_RANKS).rev() {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        delays.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+    }
+    delays
+}
+
+/// One round on a warm kernel: every rank-ready event is scheduled 1 ms
+/// past the clock plus its delay, then all are popped. Returns events
+/// popped.
+fn jitter_round(kernel: &mut EventKernel<u32>, delays: &[f64]) -> u64 {
+    let base = kernel.now() + 1e-3;
+    for (rank, dt) in delays.iter().enumerate() {
+        kernel.schedule(base + dt, rank as u32);
+    }
+    let mut popped = 0;
+    while kernel.pop().is_some() {
+        popped += 1;
+    }
+    popped
+}
+
+/// The warm jittered batch: the criterion cell, the greppable
+/// ns-per-event probe, and the allocation check.
+fn bench_jitter_batch(c: &mut Criterion) {
+    let delays = jitter_delays();
+    let mut kernel: EventKernel<u32> = EventKernel::new();
+    for _ in 0..8 {
+        jitter_round(&mut kernel, &delays); // narrow the width, warm the pools
+    }
+    c.bench_function(&format!("des/jitter_batch_r{JITTER_RANKS}"), |b| {
+        b.iter(|| jitter_round(&mut kernel, &delays));
+    });
+
+    let rounds = 200;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let start = Instant::now();
+    let mut events = 0u64;
+    for _ in 0..rounds {
+        events += jitter_round(&mut kernel, &delays);
+    }
+    let wall = start.elapsed().as_secs_f64();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(events, (rounds * JITTER_RANKS) as u64);
+    eprintln!(
+        "des.ns_per_event.jitter_r{JITTER_RANKS} {:.1}  ({events} events in {wall:.3} s)",
+        wall * 1e9 / events as f64
+    );
+    eprintln!("des/jitter_steady_state_allocs: {allocs} allocations across {events} events");
+    assert_eq!(
+        allocs, 0,
+        "warm jittered rounds must stay off the allocator: {allocs} allocs / {events} events"
+    );
+}
+
 criterion_group! {
     name = benches;
     config = configure();
-    targets = bench_rank_sweep, bench_ranks_per_s
+    targets = bench_rank_sweep, bench_ranks_per_s, bench_jitter_batch
 }
 criterion_main!(benches);

@@ -11,10 +11,10 @@
 //!   corrupt timestamp deterministically sorts **last** (after `+inf`)
 //!   instead of poisoning the order or panicking a comparator.
 //! * [`EventQueue`] — a radix-bucketed calendar queue over arena-allocated
-//!   event records: O(1) expected push/pop against the epoch index, exact
-//!   `(time, seq)` pop order (the conformance bar for every golden
-//!   document), and adaptive bucket narrowing when a burst of events lands
-//!   inside one epoch.
+//!   event records: the head bucket is kept sorted, so `peek`/`pop` read
+//!   its back in O(1); exact `(time, seq)` pop order (the conformance bar
+//!   for every golden document); and adaptive bucket narrowing when a
+//!   burst of events lands inside one epoch.
 //! * [`EventKernel`] — an [`EventQueue`] plus the monotone `now` clock the
 //!   simulators read; `pop` never moves `now` backwards.
 //! * [`TrackBank`] / [`TrackSet`] — dense structure-of-arrays busy-until
@@ -32,9 +32,9 @@
 //! * `reset` zeroes clocks but keeps interned track ids and queue
 //!   capacity, so measurement loops do not churn the allocator.
 
-use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
 
 /// Order two floats *descending* with NaN sorted last.
@@ -131,50 +131,49 @@ impl std::hash::Hasher for EpochHasher {
 
 type EpochMap<V> = HashMap<i64, V, std::hash::BuildHasherDefault<EpochHasher>>;
 
+/// One calendar bucket: `(key, slot)` records of one epoch. A `Vec`,
+/// not the head's `VecDeque`, keeps the epoch map's entries small: at
+/// fleet scale the map holds thousands of epochs.
+type Bucket = Vec<(EventKey, u32)>;
+
 /// Radix-bucketed calendar queue with exact `(time, seq)` pop order.
 ///
 /// Events live in an arena (`slots` + free list); the calendar buckets
-/// hold `(key, slot)` pairs radixed by `floor(time / width)`, and a
-/// lazy-deletion min-heap over the occupied epochs makes "earliest
-/// nonempty bucket" an O(1) peek even when the timeline is sparse.
-/// Within a bucket records are unsorted; `pop` scans the head bucket for
-/// the minimum [`EventKey`] (memoised across the peek-then-pop rhythm) —
-/// bounded by the adaptive rebuild that narrows `width` whenever a burst
-/// of distinct times piles into one epoch.
+/// hold `(key, slot)` pairs radixed by `floor(time / width)`. The bucket
+/// of the earliest occupied epoch — the *head* — is held apart and kept
+/// sorted descending by [`EventKey`], so the minimum sits at its back and
+/// `peek`/`pop` are O(1). Later buckets are unsorted; a bucket is sorted
+/// once, when it becomes the head, and a push into the head is
+/// binary-inserted. A min-heap over the later epochs finds the next head
+/// even when the timeline is sparse, and an adaptive rebuild narrows
+/// `width` whenever a burst of distinct times piles into one epoch,
+/// keeping each sort short.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// Arena of event payloads; `free` recycles slots so a steady-state
     /// push/pop loop allocates nothing.
     slots: Vec<Option<E>>,
     free: Vec<u32>,
-    /// Calendar: epoch -> unsorted `(key, slot)` records.
-    buckets: EpochMap<Vec<(EventKey, u32)>>,
+    /// Records of epoch `head_epoch`, sorted descending by key. Empty
+    /// exactly when the queue is.
+    head: VecDeque<(EventKey, u32)>,
+    head_epoch: i64,
+    /// Calendar: every epoch after `head_epoch` -> unsorted records.
+    buckets: EpochMap<Bucket>,
     /// Retired bucket vectors, capacity kept warm. An epoch emptying and
     /// a later epoch opening is the *steady state* of a calendar queue —
-    /// without this pool every epoch transition paid a `Vec` free/alloc
+    /// without this pool every epoch transition paid a buffer free/alloc
     /// pair, the last per-event allocation in the cluster serving loop.
     /// Only buckets of at most `SPARE_CAPACITY` records are kept, so the
     /// pool's memory stays bounded however often a large batch recurs.
-    spare: Vec<Vec<(EventKey, u32)>>,
-    /// Min-heap over occupied epochs with lazy deletion: an epoch is
-    /// pushed when its bucket is created and popped only when found
-    /// stale (bucket gone) at the top, so the backing `Vec` keeps its
-    /// capacity and the steady state allocates nothing — where the
-    /// previous `BTreeSet` index paid node churn on every epoch
-    /// transition. Invariant: the top entry, if any, always names an
-    /// occupied bucket (stale tops are drained eagerly in `pop`).
+    spare: Vec<Bucket>,
+    /// Min-heap over the epochs of `buckets`, one entry per bucket: an
+    /// epoch is pushed when its bucket enters the calendar and popped
+    /// when that bucket becomes the head. The backing `Vec` keeps its
+    /// capacity, so the steady state allocates nothing.
     epochs: BinaryHeap<Reverse<i64>>,
-    /// Memo of the last `locate_min` answer, so the peek-then-pop
-    /// rhythm every simulator drains batches with scans the head bucket
-    /// once, not twice. Invalidated by any mutation.
-    min_at: Cell<Option<(i64, usize)>>,
     /// Seconds per calendar bucket.
     width: f64,
-    /// Epoch whose bucket is currently sorted descending by key (minimum
-    /// at the back), so a large simultaneous batch pops in O(1) instead
-    /// of rescanning the bucket per pop. Invalidated by any push into
-    /// that epoch.
-    sorted: Option<i64>,
     len: usize,
     next_seq: u64,
 }
@@ -190,12 +189,12 @@ impl<E> EventQueue<E> {
         EventQueue {
             slots: Vec::new(),
             free: Vec::new(),
+            head: VecDeque::new(),
+            head_epoch: 0,
             buckets: EpochMap::default(),
             spare: Vec::new(),
             epochs: BinaryHeap::new(),
-            min_at: Cell::new(None),
             width: 1.0,
-            sorted: None,
             len: 0,
             next_seq: 0,
         }
@@ -210,7 +209,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Epoch a time radixes into. NaN (and anything saturating the cast)
-    /// lands in the terminal epoch; the in-bucket key scan restores the
+    /// lands in a terminal epoch; the in-bucket key order restores the
     /// exact order there.
     fn epoch_of(&self, time: f64) -> i64 {
         if time.is_nan() {
@@ -239,132 +238,127 @@ impl<E> EventQueue<E> {
                 (self.slots.len() - 1) as u32
             }
         };
-        let epoch = self.epoch_of(time);
-        if self.sorted == Some(epoch) {
-            self.sorted = None;
-        }
-        let bucket = match self.buckets.entry(epoch) {
-            std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.epochs.push(Reverse(epoch));
-                v.insert(self.spare.pop().unwrap_or_default())
-            }
-        };
-        bucket.push((key, slot));
-        self.min_at.set(None);
         self.len += 1;
-        if bucket.len() > MAX_BUCKET && bucket.len().is_power_of_two() {
+        let epoch = self.epoch_of(time);
+        if self.head.is_empty() {
+            self.head_epoch = epoch;
+        }
+        let n = match epoch.cmp(&self.head_epoch) {
+            Ordering::Equal => {
+                // `key` has the largest `seq` yet, so it lands before
+                // (pops after) every equal-time record — at the front
+                // outright for a simultaneous batch or a later time.
+                if self.head.front().is_none_or(|&(k, _)| key > k) {
+                    self.head.push_front((key, slot));
+                } else {
+                    let at = self.head.partition_point(|&(k, _)| k > key);
+                    self.head.insert(at, (key, slot));
+                }
+                self.head.len()
+            }
+            Ordering::Less => {
+                // A new earliest epoch: the old head, still sorted,
+                // rejoins the calendar.
+                let fresh = VecDeque::from(self.spare.pop().unwrap_or_default());
+                let old = std::mem::replace(&mut self.head, fresh);
+                self.epochs.push(Reverse(self.head_epoch));
+                self.buckets.insert(self.head_epoch, Vec::from(old));
+                self.head_epoch = epoch;
+                self.head.push_back((key, slot));
+                1
+            }
+            Ordering::Greater => self.file(epoch, (key, slot)),
+        };
+        if n > MAX_BUCKET && n.is_power_of_two() {
             self.maybe_narrow(epoch);
         }
         key
     }
 
+    /// Append a record to the calendar bucket of `epoch` (after the
+    /// head), opening it if needed; returns the bucket's length.
+    fn file(&mut self, epoch: i64, rec: (EventKey, u32)) -> usize {
+        let bucket = match self.buckets.entry(epoch) {
+            Entry::Occupied(o) => o.into_mut(),
+            Entry::Vacant(v) => {
+                self.epochs.push(Reverse(epoch));
+                v.insert(self.spare.pop().unwrap_or_default())
+            }
+        };
+        bucket.push(rec);
+        bucket.len()
+    }
+
+    /// Make the earliest calendar bucket the head, sorting it once, or
+    /// a spare one when the calendar is empty. The head must be empty.
+    fn promote(&mut self) {
+        debug_assert!(self.head.is_empty());
+        let next = match self.epochs.pop() {
+            Some(Reverse(epoch)) => {
+                let mut bucket = self
+                    .buckets
+                    .remove(&epoch)
+                    .expect("one heap entry per bucket");
+                // Keys are unique (`seq`): the unstable sort is exact.
+                bucket.sort_unstable_by_key(|&(key, _)| Reverse(key));
+                self.head_epoch = epoch;
+                bucket
+            }
+            None => self.spare.pop().unwrap_or_default(),
+        };
+        let emptied = std::mem::replace(&mut self.head, VecDeque::from(next));
+        retire(&mut self.spare, Vec::from(emptied));
+    }
+
     /// Narrow `width` so the overfull bucket's time span spreads over
     /// ~8 epochs, then rebuild the calendar. A span of zero (all records
-    /// simultaneous) cannot be split; the scan stays linear there, which
-    /// is exactly the simultaneous-batch shape the simulators drain
-    /// anyway.
+    /// simultaneous) cannot be split; the batch then pops from the
+    /// sorted head in O(1) each anyway.
     fn maybe_narrow(&mut self, epoch: i64) {
-        let bucket = &self.buckets[&epoch];
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (k, _) in bucket {
-            if k.time.is_finite() {
-                lo = lo.min(k.time);
-                hi = hi.max(k.time);
-            }
-        }
-        let span = hi - lo;
-        if span.partial_cmp(&0.0) != Some(Ordering::Greater) || span / 8.0 <= f64::MIN_POSITIVE {
+        let width = if epoch == self.head_epoch {
+            finite_span(&self.head) / 8.0
+        } else {
+            finite_span(&self.buckets[&epoch]) / 8.0
+        };
+        // Only ever narrow: a saturated terminal epoch can span more.
+        if !(width > f64::MIN_POSITIVE && width < self.width) {
             return;
         }
-        self.width = span / 8.0;
-        let mut old = std::mem::take(&mut self.buckets);
+        self.width = width;
+        let mut head = std::mem::take(&mut self.head);
+        let calendar = std::mem::take(&mut self.buckets);
         self.epochs.clear();
-        self.min_at.set(None);
-        self.sorted = None;
-        for (_, mut bucket) in old.drain() {
+        // The head re-files back to front, in ascending key order: the
+        // order appends make, which the sort on promotion takes in O(n).
+        while let Some((key, slot)) = head.pop_back() {
+            self.file(self.epoch_of(key.time), (key, slot));
+        }
+        retire(&mut self.spare, Vec::from(head));
+        for (_, mut bucket) in calendar {
             for (key, slot) in bucket.drain(..) {
-                let e = self.epoch_of(key.time);
-                let b = match self.buckets.entry(e) {
-                    std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        self.epochs.push(Reverse(e));
-                        v.insert(self.spare.pop().unwrap_or_default())
-                    }
-                };
-                b.push((key, slot));
+                self.file(self.epoch_of(key.time), (key, slot));
             }
             retire(&mut self.spare, bucket);
         }
-    }
-
-    /// Position of the minimum key: `(epoch, index-in-bucket)`. Memoised
-    /// in `min_at`, so a `peek_key` followed by `pop` scans once.
-    fn locate_min(&self) -> Option<(i64, usize)> {
-        if let Some(hit) = self.min_at.get() {
-            return Some(hit);
-        }
-        let &Reverse(epoch) = self.epochs.peek()?;
-        let bucket = &self.buckets[&epoch];
-        let best = if self.sorted == Some(epoch) {
-            bucket.len() - 1
-        } else {
-            let mut best = 0usize;
-            for (i, (k, _)) in bucket.iter().enumerate().skip(1) {
-                if *k < bucket[best].0 {
-                    best = i;
-                }
-            }
-            best
-        };
-        self.min_at.set(Some((epoch, best)));
-        Some((epoch, best))
+        self.promote();
     }
 
     /// The earliest pending event, without removing it.
     pub fn peek(&self) -> Option<(EventKey, &E)> {
-        let (epoch, i) = self.locate_min()?;
-        let (key, slot) = self.buckets[&epoch][i];
+        let &(key, slot) = self.head.back()?;
         Some((key, self.slots[slot as usize].as_ref().expect("live slot")))
     }
 
     /// Key of the earliest pending event.
     pub fn peek_key(&self) -> Option<EventKey> {
-        self.peek().map(|(k, _)| k)
+        self.head.back().map(|&(k, _)| k)
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(EventKey, E)> {
-        // A head bucket too large to rescan per pop (a simultaneous
-        // batch that narrowing can't split) is sorted once, descending,
-        // so the minimum pops from the back in O(1). Sorting by the full
-        // key preserves the exact `(time, seq)` pop order.
-        if let Some(&Reverse(epoch)) = self.epochs.peek() {
-            let bucket = self.buckets.get_mut(&epoch).expect("occupied epoch");
-            if self.sorted != Some(epoch) && bucket.len() > MAX_BUCKET {
-                bucket.sort_unstable_by_key(|&(key, _)| Reverse(key));
-                self.sorted = Some(epoch);
-                self.min_at.set(None);
-            }
-        }
-        let (epoch, i) = self.locate_min()?;
-        self.min_at.set(None);
-        let bucket = self.buckets.get_mut(&epoch).expect("occupied epoch");
-        let (key, slot) = bucket.swap_remove(i);
-        if bucket.is_empty() {
-            let retired = self.buckets.remove(&epoch).expect("present");
-            retire(&mut self.spare, retired);
-            // The emptied epoch is the heap top (locate_min peeked it);
-            // drop it, then drain any stale duplicates so the top stays
-            // a live bucket — the invariant peek/locate_min lean on.
-            self.epochs.pop();
-            while let Some(&Reverse(e)) = self.epochs.peek() {
-                if self.buckets.contains_key(&e) {
-                    break;
-                }
-                self.epochs.pop();
-            }
-            self.sorted = None;
+        let (key, slot) = self.head.pop_back()?;
+        if self.head.is_empty() {
+            self.promote();
         }
         let ev = self.slots[slot as usize].take().expect("live slot");
         self.free.push(slot);
@@ -380,20 +374,32 @@ impl<E> EventQueue<E> {
         }
         self.free.clear();
         self.free.extend(0..self.slots.len() as u32);
+        self.head.clear();
         for (_, mut b) in self.buckets.drain() {
             b.clear();
             retire(&mut self.spare, b);
         }
         self.epochs.clear();
-        self.min_at.set(None);
-        self.sorted = None;
         self.len = 0;
+        self.promote(); // swaps in a spare, retiring the head's buffer
     }
+}
+
+/// Spread of the finite times among `records` (negative when none).
+fn finite_span<'a>(records: impl IntoIterator<Item = &'a (EventKey, u32)>) -> f64 {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (k, _) in records {
+        if k.time.is_finite() {
+            lo = lo.min(k.time);
+            hi = hi.max(k.time);
+        }
+    }
+    hi - lo
 }
 
 /// Return an emptied bucket to the spare pool, unless a large batch grew
 /// it past `SPARE_CAPACITY`.
-fn retire(spare: &mut Vec<Vec<(EventKey, u32)>>, bucket: Vec<(EventKey, u32)>) {
+fn retire(spare: &mut Vec<Bucket>, bucket: Bucket) {
     debug_assert!(bucket.is_empty());
     if bucket.capacity() <= SPARE_CAPACITY {
         spare.push(bucket);
@@ -717,7 +723,7 @@ mod tests {
         // rotation, so a pool keeping every retired bucket would let the
         // batch grow a different spare vector each round.
         let mut q = EventQueue::new();
-        let retained = |q: &EventQueue<u32>| -> usize { q.spare.iter().map(Vec::capacity).sum() };
+        let retained = |q: &EventQueue<u32>| q.spare.iter().map(Bucket::capacity).sum::<usize>();
         let mut after_first = None;
         for round in 0..40u32 {
             for i in 0..300 {

@@ -256,7 +256,7 @@ impl MemTracker {
             .chain(self.in_use.keys())
             .copied()
             .collect();
-        v.sort_by_key(|l| l.label());
+        v.sort_unstable_by_key(Loc::label_key);
         v.dedup();
         v
     }

@@ -54,6 +54,23 @@ impl Loc {
             Loc::Nic => "nic".to_string(),
         }
     }
+
+    /// Sort key ordering locations exactly as their [`Loc::label`]s sort,
+    /// built without allocating: the label's bytes, zero-padded (`gpu`
+    /// plus at most 20 digits fits).
+    pub fn label_key(&self) -> [u8; 23] {
+        use std::io::Write;
+        let mut key = [0u8; 23];
+        let mut w = &mut key[..];
+        let written = match self {
+            Loc::Host => w.write_all(b"host"),
+            Loc::Gpu(i) => write!(w, "gpu{i}"),
+            Loc::Nvme => w.write_all(b"nvme"),
+            Loc::Nic => w.write_all(b"nic"),
+        };
+        written.expect("a label fits its key");
+        key
+    }
 }
 
 /// What executes a kernel.
@@ -265,6 +282,9 @@ pub struct Sim {
     recorder: Recorder,
     /// Hot metric names, interned once per attached recorder.
     hot_syms: HotSyms,
+    /// `mem.<loc>.bytes` / `mem.<loc>.high_water` gauge names, interned
+    /// per location on first publication to the attached recorder.
+    mem_syms: Vec<(Loc, Sym, Sym)>,
     /// Interned track labels (`gpu0.s0`, `gpu0.h2d`, …), cached so a
     /// launch/transfer does not re-format the label `String` per span.
     stream_track_syms: HashMap<StreamId, Sym>,
@@ -287,6 +307,7 @@ impl Sim {
             tracks: TrackSet::new(),
             counters: Counters::default(),
             hot_syms: HotSyms::for_recorder(&recorder),
+            mem_syms: Vec::new(),
             stream_track_syms: HashMap::new(),
             engine_track_syms: HashMap::new(),
             recorder,
@@ -322,6 +343,7 @@ impl Sim {
     /// recorder (see [`Sym`]).
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.hot_syms = HotSyms::for_recorder(&recorder);
+        self.mem_syms.clear();
         self.stream_track_syms.clear();
         self.engine_track_syms.clear();
         self.recorder = recorder;
@@ -832,17 +854,29 @@ impl Sim {
 
     /// Publish `mem.<loc>.bytes` / `mem.<loc>.high_water` gauges for every
     /// tracked location.
-    fn publish_mem(&self) {
+    fn publish_mem(&mut self) {
         if !self.recorder.is_enabled() {
             return;
         }
         for loc in self.mem.locs() {
-            let label = loc.label();
+            let (bytes, high_water) = self.mem_gauge_syms(loc);
+            self.recorder.gauge_sym(bytes, self.mem.in_use(loc));
             self.recorder
-                .gauge(&format!("mem.{label}.bytes"), self.mem.in_use(loc));
-            self.recorder
-                .gauge(&format!("mem.{label}.high_water"), self.mem.high_water(loc));
+                .gauge_sym(high_water, self.mem.high_water(loc));
         }
+    }
+
+    /// The gauge symbols of `loc`, formatted and interned only the first
+    /// time `loc` is published to the attached recorder.
+    fn mem_gauge_syms(&mut self, loc: Loc) -> (Sym, Sym) {
+        if let Some(&(_, bytes, high_water)) = self.mem_syms.iter().find(|e| e.0 == loc) {
+            return (bytes, high_water);
+        }
+        let label = loc.label();
+        let bytes = self.recorder.intern(&format!("mem.{label}.bytes"));
+        let high_water = self.recorder.intern(&format!("mem.{label}.high_water"));
+        self.mem_syms.push((loc, bytes, high_water));
+        (bytes, high_water)
     }
 
     /// Touch a [`ManagedBuffer`] from `side` **through the simulator**: a
@@ -1336,6 +1370,42 @@ mod tests {
             "mem.* usage gauges scrubbed"
         );
         assert_eq!(rec.gauge_value("net.unrelated"), Some(7.0));
+    }
+
+    #[test]
+    fn mem_gauges_follow_a_newly_attached_recorder() {
+        // The interned gauge names are per recorder: after a swap, the
+        // gauges must land in the new recorder under their names.
+        let first = crate::obs::Recorder::enabled();
+        let mut s = sim().with_recorder(first.clone());
+        let a = s.alloc(Loc::Gpu(0), 1e9).expect("fits");
+        let second = crate::obs::Recorder::enabled();
+        second.gauge("net.unrelated", 7.0); // shift the new symbol ids
+        s.set_recorder(second.clone());
+        s.alloc(Loc::Gpu(0), 2e9).expect("fits");
+        assert_eq!(second.gauge_value("mem.gpu0.bytes"), Some(3e9));
+        assert_eq!(second.gauge_value("mem.gpu0.high_water"), Some(3e9));
+        assert_eq!(second.gauge_value("net.unrelated"), Some(7.0));
+        s.free(a);
+        assert_eq!(second.gauge_value("mem.gpu0.bytes"), Some(2e9));
+        assert_eq!(first.gauge_value("mem.gpu0.bytes"), Some(1e9));
+    }
+
+    #[test]
+    fn label_key_sorts_like_the_label() {
+        let mut by_key = [
+            Loc::Nvme,
+            Loc::Gpu(10),
+            Loc::Host,
+            Loc::Gpu(2),
+            Loc::Nic,
+            Loc::Gpu(usize::MAX),
+            Loc::Gpu(0),
+        ];
+        let mut by_label = by_key;
+        by_key.sort_by_key(Loc::label_key);
+        by_label.sort_by_key(Loc::label);
+        assert_eq!(by_key, by_label);
     }
 
     #[test]

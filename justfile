@@ -114,7 +114,8 @@ des-smoke:
 # working tree, run <pairs> pairs of <workload> runs for BENCHMARK.json's
 # `run_seconds`, alternating which side goes first, then print
 # `perfbench compare`. Extra arguments (e.g. `--seed 97`) go to every
-# run; the run outputs are kept in out/perf-pairs/<workload>/.
+# run; the run outputs are kept in out/perf-pairs/<workload>/. A
+# space-separated list of workloads runs each in turn on one base build.
 #   just perf-pairs HEAD~1 fleet-burst
 perf-pairs base_ref workload pairs="10" *args:
     #!/usr/bin/env bash
@@ -126,17 +127,29 @@ perf-pairs base_ref workload pairs="10" *args:
     CARGO_TARGET_DIR="$base/target" cargo build --release --quiet --offline \
         --manifest-path "$base/perfbench/Cargo.toml"
     cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
-    runs="out/perf-pairs/{{workload}}"
-    rm -rf "$runs" && mkdir -p "$runs"
     # Each side runs from its own tree, where it stamps its fingerprint.
     run() {
         local dir=. bin=perfbench/target/release/perfbench
         if [ "$1" = base ]; then dir=$base bin=target/release/perfbench; fi
-        (cd "$dir" && "$bin" --workload {{workload}} --seconds "$secs" {{args}}) \
+        (cd "$dir" && "$bin" --workload "$workload" --seconds "$secs" {{args}}) \
             > "$runs/$1-$2.txt"
     }
-    for i in $(seq 1 {{pairs}}); do
-        if [ $((i % 2)) = 1 ]; then run base "$i"; run head "$i"; else run head "$i"; run base "$i"; fi
-        echo "pair $i of {{pairs}} done" >&2
+    for workload in {{workload}}; do
+        runs="out/perf-pairs/$workload"
+        rm -rf "$runs" && mkdir -p "$runs"
+        for i in $(seq 1 {{pairs}}); do
+            if [ $((i % 2)) = 1 ]; then run base "$i"; run head "$i"; else run head "$i"; run base "$i"; fi
+            echo "$workload: pair $i of {{pairs}} done" >&2
+        done
+        echo "== $workload"
+        perfbench/target/release/perfbench compare --base "$runs"/base-*.txt --head "$runs"/head-*.txt
     done
-    perfbench/target/release/perfbench compare --base "$runs"/base-*.txt --head "$runs"/head-*.txt
+
+# `perf-pairs` over every workload BENCHMARK.json declares, against one
+# base build: a claim is judged on all of them, since a regression on any
+# workload rejects it.
+#   just perf-pairs-all HEAD~1 10 --seed 97
+perf-pairs-all base_ref pairs="10" *args:
+    just perf-pairs "{{base_ref}}" \
+        "$(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json | tr '\n' ' ')" \
+        "{{pairs}}" {{args}}

@@ -29,6 +29,18 @@ fn decode_op(sel: u8, knob: i32) -> Op {
     }
 }
 
+/// Pending `(key, payload)` pairs sorted descending by key, so the
+/// expected next pop is the last element.
+#[derive(Default)]
+struct SortedModel(Vec<(EventKey, u32)>);
+
+impl SortedModel {
+    fn push(&mut self, key: EventKey, ev: u32) {
+        let at = self.0.partition_point(|&(k, _)| k > key);
+        self.0.insert(at, (key, ev));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -40,8 +52,7 @@ proptest! {
         raw_ops in prop::collection::vec((0u8..10, -16i32..160), 1..400),
     ) {
         let mut q: EventQueue<u32> = EventQueue::new();
-        // Reference model: the pending (key, payload) set, kept naively.
-        let mut model: Vec<(EventKey, u32)> = Vec::new();
+        let mut model = SortedModel::default();
         let mut payload = 0u32;
         for (sel, knob) in raw_ops {
             match decode_op(sel, knob) {
@@ -49,28 +60,12 @@ proptest! {
                     let key = q.push(t, payload);
                     // The queue normalises NaN to positive NaN; mirror it.
                     prop_assert!(key.time.total_cmp(&key.time).is_eq());
-                    model.push((key, payload));
+                    model.push(key, payload);
                     payload += 1;
                 }
-                Op::Pop => {
-                    let got = q.pop();
-                    if model.is_empty() {
-                        prop_assert!(got.is_none());
-                    } else {
-                        let (key, ev) = got.expect("model says nonempty");
-                        let best = model
-                            .iter()
-                            .enumerate()
-                            .min_by(|a, b| a.1.0.cmp(&b.1.0))
-                            .map(|(i, _)| i)
-                            .expect("nonempty");
-                        let (want_key, want_ev) = model.remove(best);
-                        prop_assert_eq!(key, want_key);
-                        prop_assert_eq!(ev, want_ev);
-                    }
-                }
+                Op::Pop => prop_assert_eq!(q.pop(), model.0.pop()),
             }
-            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.len(), model.0.len());
         }
         // Drain: the remainder comes out fully sorted.
         let mut last: Option<EventKey> = None;
@@ -83,9 +78,9 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Simultaneous events pop in insertion order, including batches big
-    /// enough to trigger the sorted-head-bucket fast path (> 64 events
-    /// at one instant).
+    /// Simultaneous events pop in insertion order, including batches
+    /// too big for width narrowing to split (more than 64 events at one
+    /// instant), which are binary-inserted into the sorted head bucket.
     #[test]
     fn same_time_events_preserve_insertion_order(
         sizes in prop::collection::vec(1usize..90, 1..6),
@@ -106,6 +101,84 @@ proptest! {
             }
         }
         prop_assert!(q.is_empty());
+    }
+}
+
+/// SplitMix64: the shuffles and interleavings of the warm-queue property
+/// depend on the drawn seed and nothing else.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Times that land in the sorted head bucket, or around it: NaN, the
+/// infinities, and finite values whose epoch saturates the `i64` cast.
+const HOSTILE: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The node-step shape on a warm queue reused across rounds (its
+    /// width already narrowed by the first): each round pushes thousands
+    /// of distinct times inside a 5 µs window in shuffled order,
+    /// interleaved with pops and with pushes aimed at the sorted head —
+    /// equal to its minimum, in the past, NaN, ±∞, ±1e300. Every pop must
+    /// match the sorted reference model.
+    #[test]
+    fn warm_jittered_rounds_pop_in_exact_order(
+        seed in 0u64..u64::MAX,
+        rounds in 2usize..5,
+        ranks in 1000usize..3000,
+    ) {
+        let mut rng = SplitMix(seed);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut model = SortedModel::default();
+        let mut payload = 0u32;
+        for round in 0..rounds {
+            let base = 1.0 + round as f64 * 1e-3;
+            let mut times: Vec<f64> = (0..ranks)
+                .map(|k| base + 5e-6 * (k as f64 + 0.5) / ranks as f64)
+                .collect();
+            for i in (1..ranks).rev() {
+                times.swap(i, rng.below(i + 1));
+            }
+            for t in times {
+                let mut pending = vec![t];
+                match rng.below(32) {
+                    0 => pending.push(q.peek_key().map_or(base, |k| k.time)),
+                    1 => pending.push(q.peek_key().map_or(base, |k| k.time) - 1e-7),
+                    2 => pending.push(base - 1.0),
+                    3 => pending.push(HOSTILE[rng.below(HOSTILE.len())]),
+                    _ => {}
+                }
+                for t in pending {
+                    let key = q.push(t, payload);
+                    model.push(key, payload);
+                    payload += 1;
+                }
+                if rng.below(8) == 0 {
+                    let got = q.pop();
+                    prop_assert_eq!(got, model.0.pop());
+                }
+                prop_assert_eq!(q.len(), model.0.len());
+            }
+            // Drain the round, as a node step does.
+            while let Some(got) = q.pop() {
+                prop_assert_eq!(Some(got), model.0.pop());
+            }
+            prop_assert!(model.0.is_empty(), "queue drained early");
+        }
     }
 }
 
