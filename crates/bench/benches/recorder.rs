@@ -3,9 +3,9 @@
 //!
 //! Two layers:
 //!
-//! * **Recorder micro-benches** — `record_span`/`incr` through the string
-//!   path vs the pre-interned `*_sym` path (the `Sim::launch_on` fast
-//!   path), plus the `hot_list`/`render_timeline` sinks on a populated
+//! * **Recorder micro-benches** — `record_span`/`incr` with `&str` names
+//!   vs pre-interned `Sym` names (the `Sim::launch_on` fast path), through
+//!   the same methods, plus the `hot_list`/`render_timeline` sinks on a populated
 //!   recorder. A counting global allocator reports allocations per
 //!   span on the steady-state interned path (expected: 0 once the
 //!   span vector has grown to capacity).
@@ -51,8 +51,8 @@ fn configure() -> Criterion {
 
 const SPANS_PER_ITER: usize = 1024;
 
-/// The pre-interning hot path: every span/metric name arrives as `&str`
-/// and must be hashed (and, before ISSUE 5, allocated) per event.
+/// String names: every span/metric name arrives as `&str` and is hashed
+/// (never allocated, once seen) per event.
 fn bench_string_path(c: &mut Criterion) {
     let rec = Recorder::enabled();
     c.bench_function("obs/record_span_str_1k", |b| {
@@ -67,7 +67,7 @@ fn bench_string_path(c: &mut Criterion) {
     });
 }
 
-/// The `Sim::launch_on` fast path: names interned once, handles reused.
+/// The `Sim::launch_on` fast path: names interned once, `Sym`s reused.
 fn bench_interned_path(c: &mut Criterion) {
     let rec = Recorder::enabled();
     let name = rec.intern("spmv");
@@ -78,8 +78,8 @@ fn bench_interned_path(c: &mut Criterion) {
             rec.reset();
             for i in 0..SPANS_PER_ITER {
                 let t = i as f64;
-                rec.record_span_sym(name, SpanKind::Kernel, track, t, t + 1.0);
-                rec.incr_sym(flops, 1.0e9);
+                rec.record_span(name, SpanKind::Kernel, track, t, t + 1.0);
+                rec.incr(flops, 1.0e9);
             }
         })
     });
@@ -89,15 +89,15 @@ fn bench_interned_path(c: &mut Criterion) {
     rec.reset();
     for i in 0..SPANS_PER_ITER {
         let t = i as f64;
-        rec.record_span_sym(name, SpanKind::Kernel, track, t, t + 1.0);
-        rec.incr_sym(flops, 1.0e9);
+        rec.record_span(name, SpanKind::Kernel, track, t, t + 1.0);
+        rec.incr(flops, 1.0e9);
     }
     rec.reset();
     let before = ALLOCS.load(Ordering::Relaxed);
     for i in 0..SPANS_PER_ITER {
         let t = i as f64;
-        rec.record_span_sym(name, SpanKind::Kernel, track, t, t + 1.0);
-        rec.incr_sym(flops, 1.0e9);
+        rec.record_span(name, SpanKind::Kernel, track, t, t + 1.0);
+        rec.incr(flops, 1.0e9);
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     eprintln!(

@@ -15,11 +15,10 @@
 //!   --json               print the structured JSON document instead of text
 //!   --timeline           print the ASCII span timeline to stderr
 //!   --bench-dir <dir>    also write BENCH_<id>.json into <dir>
-//!                        (or set ICOE_BENCH_DIR)
 //!   --jobs <n>           run `all` on an n-worker work-stealing pool
-//!                        (or set ICOE_JOBS; default: available
-//!                        parallelism). Output is emitted in paper order
-//!                        and is byte-identical to --jobs 1.
+//!                        (default: available parallelism). Output is
+//!                        emitted in paper order and is byte-identical to
+//!                        --jobs 1.
 //!   --param k=v          typed experiment parameters (repeatable):
 //!                        seed=<u64>, scale=<f64>, machine=<preset>.
 //!                        Defaults regenerate the golden documents
@@ -55,7 +54,7 @@ fn main() {
     let mut opts = Opts {
         json: false,
         timeline: false,
-        bench_dir: std::env::var_os("ICOE_BENCH_DIR").map(Into::into),
+        bench_dir: None,
         jobs: icoe::par::default_jobs(),
         params: ExpParams::default(),
     };

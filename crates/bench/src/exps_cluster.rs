@@ -140,10 +140,10 @@ pub fn cluster_policies(rec: &mut Recorder, params: &ExpParams) -> Vec<Table> {
         // is overwritten on every run; these persist side by side.
         let key = p.name().to_lowercase().replace(['-', '+'], "_");
         rec.gauge(
-            &format!("cluster.{key}.sla_violation_rate"),
+            format!("cluster.{key}.sla_violation_rate"),
             m.sla_violation_rate,
         );
-        rec.gauge(&format!("cluster.{key}.joules"), m.joules);
+        rec.gauge(format!("cluster.{key}.joules"), m.joules);
         results.push((p.name().to_string(), m));
     }
     rec.end(phase);
@@ -284,8 +284,8 @@ pub fn cluster_throughput(rec: &mut Recorder, params: &ExpParams) -> Vec<Table> 
             let jobs = job_stream(&scfg);
             sim.run(&jobs, &Fcfs, &noop)
         };
-        rec.gauge(&format!("cluster.tp.util.n{nodes}"), probe.utilization);
-        rec.gauge(&format!("cluster.tp.p99_wait_s.n{nodes}"), probe.p99_wait);
+        rec.gauge(format!("cluster.tp.util.n{nodes}"), probe.utilization);
+        rec.gauge(format!("cluster.tp.p99_wait_s.n{nodes}"), probe.p99_wait);
     }
     rec.incr("cluster.tp.jobs_placed", total_placed as f64);
     rec.end(sweep);

@@ -127,7 +127,7 @@ pub fn rank_throughput(rec: &mut Recorder) -> Vec<Table> {
         let sim_round_s = round_end / ROUNDS as f64;
         total_ranks += (ranks * ROUNDS) as u64;
         total_events += events;
-        rec.gauge(&format!("des.sim_round_ms.r{ranks}"), sim_round_s * 1e3);
+        rec.gauge(format!("des.sim_round_ms.r{ranks}"), sim_round_s * 1e3);
         t.row(&[
             ranks.to_string(),
             hosts.to_string(),

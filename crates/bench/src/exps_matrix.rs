@@ -283,13 +283,13 @@ pub fn portability_matrix(rec: &mut Recorder, _params: &ExpParams) -> Vec<Table>
         ]);
 
         rec.gauge(
-            &format!("matrix.{name}.pipeline_speedup"),
+            format!("matrix.{name}.pipeline_speedup"),
             pipeline.map_or(0.0, |p| p.0),
         );
-        rec.gauge(&format!("matrix.{name}.um_knee_gib"), knee_gib);
-        rec.gauge(&format!("matrix.{name}.hier_vs_flat"), hier_ratio);
-        rec.gauge(&format!("matrix.{name}.best_gpu_frac"), best_frac);
-        rec.gauge(&format!("matrix.{name}.portal_device_pct"), device_pct);
+        rec.gauge(format!("matrix.{name}.um_knee_gib"), knee_gib);
+        rec.gauge(format!("matrix.{name}.hier_vs_flat"), hier_ratio);
+        rec.gauge(format!("matrix.{name}.best_gpu_frac"), best_frac);
+        rec.gauge(format!("matrix.{name}.portal_device_pct"), device_pct);
         rows.push(Row {
             name,
             gpus: m.node.gpu_count(),

@@ -189,17 +189,20 @@ pub fn lessons() -> Vec<Lesson> {
             "4.10",
             "Performance gains from tight coupling of libraries can be significant (reduced CPU-to-GPU memory copies proved critical)",
             || {
-                // Keeping vectors device-resident vs migrating per call.
-                use hetsim::unified::{ManagedBuffer, Residency};
-                let link = machines::sierra_node().host_gpu_link();
-                let mut resident = ManagedBuffer::new(64e6, Residency::Device);
-                let mut ping_pong = ManagedBuffer::new(64e6, Residency::Device);
+                // Keeping vectors device-resident vs migrating per call:
+                // resident data never moves, while a library boundary that
+                // hands them back to the host pays a unified-memory
+                // migration each way, ten times over.
+                use hetsim::{Loc, TransferKind};
+                let mut sim = Sim::new(machines::sierra_node());
+                let (host, gpu) = (Loc::Host, Loc::Gpu(0));
+                let resident = sim.alloc(gpu, 64e6).expect("64 MB fits one V100");
                 let mut cost_resident = 0.0;
                 let mut cost_pingpong = 0.0;
                 for _ in 0..10 {
-                    cost_resident += resident.touch(Residency::Device, &link);
-                    cost_pingpong += ping_pong.touch(Residency::Host, &link);
-                    cost_pingpong += ping_pong.touch(Residency::Device, &link);
+                    cost_resident += sim.touch_mem(resident).expect("live allocation");
+                    cost_pingpong += sim.transfer_cost(gpu, host, 64e6, TransferKind::Unified);
+                    cost_pingpong += sim.transfer_cost(host, gpu, 64e6, TransferKind::Unified);
                 }
                 cost_resident == 0.0 && cost_pingpong > 0.01
             },

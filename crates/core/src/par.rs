@@ -206,16 +206,9 @@ impl Registry {
     }
 }
 
-/// The harness-wide default worker count: `ICOE_JOBS` if set and
-/// positive, else the machine's available parallelism.
+/// The harness-wide default worker count: the machine's available
+/// parallelism.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("ICOE_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -358,17 +351,5 @@ mod tests {
         assert!(runs[0].outcome.is_ok());
         assert!(runs[1].outcome.is_err());
         assert!(runs[2].outcome.is_ok());
-    }
-
-    #[test]
-    fn default_jobs_honours_env() {
-        // Serialise around the env var: tests in this module run on many
-        // threads.
-        std::env::set_var("ICOE_JOBS", "3");
-        assert_eq!(default_jobs(), 3);
-        std::env::set_var("ICOE_JOBS", "0");
-        assert!(default_jobs() >= 1, "0 falls back to hardware");
-        std::env::remove_var("ICOE_JOBS");
-        assert!(default_jobs() >= 1);
     }
 }

@@ -134,7 +134,8 @@ mod tests {
 
     #[test]
     fn adaptive_shuffle_is_nonblocking_and_hides_the_faster_leg() {
-        let n = net(32);
+        let rec = hetsim::Recorder::enabled();
+        let n = net(32).with_recorder(rec.clone());
         let o = StackConfig::optimized_stack();
         let bytes = 256e6;
         let wire = n.collective_cost(CollectiveKind::AllToAll, bytes);
@@ -144,7 +145,8 @@ mod tests {
         assert!((t - wire.max(serde)).abs() < 1e-9, "{t}");
         // And the exchange actually rode the NIC injection tracks.
         assert!(n.now() > 0.0);
-        assert_eq!(n.counters().collectives, 1);
+        assert_eq!(rec.counter("net.alltoall"), 1.0);
+        assert_eq!(rec.counter("net.ops"), 1.0);
     }
 
     #[test]

@@ -297,7 +297,8 @@ mod tests {
         use crate::rmat::{CsrGraph, RmatParams};
         let g = CsrGraph::rmat(10, RmatParams::default(), 42);
         let root = g.non_isolated_vertex(7);
-        let net = fabric(16);
+        let rec = hetsim::Recorder::enabled();
+        let net = fabric(16).with_recorder(rec.clone());
         let d = distributed_bfs(&g, root, &net);
         let s = bfs_top_down(&g, root);
         assert_eq!(
@@ -308,7 +309,7 @@ mod tests {
         assert_eq!(d.result.reached, s.reached);
         assert!(validate_tree(&g, root, &d.result));
         // One chained exchange per level, riding the NIC tracks.
-        assert_eq!(net.counters().collectives as usize, d.result.levels);
+        assert_eq!(rec.counter("net.ops") as usize, d.result.levels);
         assert!(d.comm_time > 0.0);
         assert!((net.now() - d.comm_time).abs() < 1e-15);
     }

@@ -54,7 +54,7 @@ pub mod unified;
 pub use des::{desc_nan_last, EventKernel, EventKey, EventQueue, TrackBank, TrackId, TrackSet};
 pub use kernel::{CostTerms, KernelProfile, LaunchClass, Precision};
 pub use mem::{MemId, MemTracker, Migration, OomError, OomPolicy};
-pub use network::{AllReduceAlgo, CollectiveKind, NetCounters, Network, StragglerSpec};
+pub use network::{AllReduceAlgo, CollectiveKind, Network, StragglerSpec};
 pub use obs::{Recorder, SpanKind, SpanRecord};
 pub use sim::{Engine, Event, Loc, Sim, StreamId, Target, TransferKind, PHANTOM_NVME_BW_GBS};
 pub use spec::{

@@ -157,27 +157,9 @@ fn unit_hash(seed: u64, rank: u64) -> f64 {
     (mixed >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Cumulative activity counters for one [`Network`] (mirrors
-/// [`crate::sim::Counters`] so every layer exposes the same
-/// `counters()` / `reset()` shape).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NetCounters {
-    /// Collective operations issued. A hierarchical allreduce counts **once**
-    /// here, not once per phase — Fig 2 / Fig 3 message counts must stay
-    /// comparable across algorithms.
-    pub collectives: u64,
-    /// Point-to-point messages issued.
-    pub p2p_msgs: u64,
-    /// Total bytes injected across all ranks (collective volume).
-    pub bytes: f64,
-    /// Simulated seconds spent in network operations (serialised view).
-    pub seconds: f64,
-}
-
-/// Mutable event-driven state: counters plus the NIC clocks and flow table.
+/// Mutable event-driven state: the NIC clocks and the flow table.
 #[derive(Debug, Default)]
 struct NetState {
-    counters: NetCounters,
     /// Busy-until clock per rank's NIC injection track (lazily grown) —
     /// a dense [`TrackBank`] on the unified `des` clock storage, the same
     /// structure-of-arrays bank `Sim` keeps its stream/engine clocks in.
@@ -204,8 +186,8 @@ pub struct Network {
     /// Optional deterministic straggler model.
     straggler: Option<StragglerSpec>,
     /// Interior-mutable so the (logically read-only) cost queries
-    /// [`Network::collective`] / [`Network::p2p`] can count traffic and
-    /// advance the NIC clocks.
+    /// [`Network::collective`] / [`Network::ip2p`] can advance the NIC
+    /// clocks.
     state: Mutex<NetState>,
     recorder: Recorder,
 }
@@ -220,7 +202,6 @@ impl Clone for Network {
             algo: self.algo,
             straggler: self.straggler,
             state: Mutex::new(NetState {
-                counters: state.counters,
                 nic: state.nic.clone(),
                 flows: state.flows.clone(),
             }),
@@ -230,8 +211,8 @@ impl Clone for Network {
 }
 
 /// Identity is the configuration (spec + ranks + topology + algorithm +
-/// straggler model); activity counters and clocks are diagnostics and do
-/// not participate in equality.
+/// straggler model); clocks are diagnostics and do not participate in
+/// equality.
 impl PartialEq for Network {
     fn eq(&self, other: &Network) -> bool {
         self.spec == other.spec
@@ -306,15 +287,7 @@ impl Network {
         self.straggler
     }
 
-    /// Snapshot of the activity counters.
-    pub fn counters(&self) -> NetCounters {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .counters
-    }
-
-    /// Clear counters, NIC clocks, and the flow table, keeping the topology
+    /// Clear the NIC clocks and the flow table, keeping the topology
     /// and recorder — and scrub this network's `net.*` counters/gauges from
     /// the recorder so a reused recorder cannot leak stale network metrics
     /// into the next measurement.
@@ -336,18 +309,12 @@ impl Network {
         s.nic.time(rank)
     }
 
+    /// Count one operation on the recorder: `net.ops` and `net.<kind>`
+    /// by message, `net.bytes` by injected volume (every rank's payload),
+    /// `net.seconds` by simulated duration. A hierarchical allreduce counts
+    /// **once**, not once per phase — Fig 2 / Fig 3 message counts must
+    /// stay comparable across algorithms.
     fn note(&self, kind: &str, msgs: u64, volume: f64, seconds: f64) {
-        {
-            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            let c = &mut s.counters;
-            if kind == "p2p" {
-                c.p2p_msgs += msgs;
-            } else {
-                c.collectives += msgs;
-            }
-            c.bytes += volume;
-            c.seconds += seconds;
-        }
         if self.recorder.is_enabled() {
             self.recorder.incr("net.ops", msgs as f64);
             self.recorder.incr("net.bytes", volume);
@@ -362,7 +329,7 @@ impl Network {
                 "treereduce" => "net.treereduce",
                 "broadcast" => "net.broadcast",
                 "gather" => "net.gather",
-                other => return self.recorder.incr(&format!("net.{other}"), msgs as f64),
+                other => return self.recorder.incr(format!("net.{other}"), msgs as f64),
             };
             self.recorder.incr(metric, msgs as f64);
         }
@@ -657,16 +624,19 @@ mod tests {
 
     #[test]
     fn counters_track_volume_and_reset() {
-        let n = net(8);
+        use crate::obs::Recorder;
+        let rec = Recorder::enabled();
+        let n = net(8).with_recorder(rec.clone());
         n.collective(CollectiveKind::AllReduce, 1e6);
         n.p2p(500.0);
-        let c = n.counters();
-        assert_eq!(c.collectives, 1);
-        assert_eq!(c.p2p_msgs, 1);
-        assert!((c.bytes - (8.0 * 1e6 + 500.0)).abs() < 1e-6, "{}", c.bytes);
-        assert!(c.seconds > 0.0);
+        assert_eq!(rec.counter("net.allreduce"), 1.0);
+        assert_eq!(rec.counter("net.p2p"), 1.0);
+        assert_eq!(rec.counter("net.ops"), 2.0);
+        let bytes = rec.counter("net.bytes");
+        assert!((bytes - (8.0 * 1e6 + 500.0)).abs() < 1e-6, "{bytes}");
+        assert!(rec.counter("net.seconds") > 0.0);
         n.reset();
-        assert_eq!(n.counters(), NetCounters::default());
+        assert!(rec.counters().keys().all(|k| !k.starts_with("net.")));
     }
 
     #[test]
@@ -691,8 +661,7 @@ mod tests {
         assert!(rec.counter("net.ops") > 0.0);
         assert!(rec.counter("net.bytes") > 0.0);
         n.reset();
-        // net.* gone from BOTH the struct counters and the recorder...
-        assert_eq!(n.counters(), NetCounters::default());
+        // net.* gone from the recorder...
         assert_eq!(rec.counter("net.ops"), 0.0);
         assert_eq!(rec.counter("net.bytes"), 0.0);
         assert_eq!(rec.counter("net.allreduce"), 0.0);
@@ -706,9 +675,11 @@ mod tests {
     fn equality_ignores_activity() {
         let a = net(8);
         let b = net(8);
-        a.p2p(100.0);
+        a.ip2p(0, 1, 100.0, None);
         assert_eq!(a, b);
-        assert_eq!(a.clone().counters(), a.counters());
+        // A clone carries the activity along: the NIC clocks.
+        assert!(a.nic_time(0) > 0.0);
+        assert_eq!(a.clone().nic_time(0), a.nic_time(0));
     }
 
     #[test]
@@ -830,11 +801,10 @@ mod tests {
             .with_algo(AllReduceAlgo::Hierarchical)
             .with_recorder(rec.clone());
         n.collective(CollectiveKind::AllReduce, 1e6);
-        let c = n.counters();
-        assert_eq!(c.collectives, 1, "two phases, ONE collective");
-        assert!((c.bytes - 16.0 * 1e6).abs() < 1e-6, "volume counted once");
-        assert_eq!(rec.counter("net.ops"), 1.0);
+        assert_eq!(rec.counter("net.ops"), 1.0, "two phases, ONE collective");
         assert_eq!(rec.counter("net.allreduce"), 1.0);
+        let bytes = rec.counter("net.bytes");
+        assert!((bytes - 16.0 * 1e6).abs() < 1e-6, "volume counted once");
     }
 
     #[test]
@@ -915,7 +885,7 @@ mod tests {
     }
 
     impl Network {
-        /// Test helper: same configuration, fresh clocks/counters.
+        /// Test helper: same configuration, fresh clocks.
         fn clone_fresh(&self) -> Network {
             let n = self.clone();
             n.reset();

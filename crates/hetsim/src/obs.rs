@@ -37,10 +37,11 @@
 //! symbol index, and render **byte-identical** output to the historical
 //! `BTreeMap`-backed implementation (pinned by regression tests).
 //!
-//! Callers that already hold a hot name can pre-intern it once with
-//! [`Recorder::intern`] and use the `*_sym` variants
-//! ([`Recorder::record_span_sym`], [`Recorder::incr_sym`],
-//! [`Recorder::gauge_sym`]) to skip even the hash lookup.
+//! Every entry point that takes a name ([`Recorder::record_span`],
+//! [`Recorder::incr`], [`Recorder::gauge`], [`Recorder::begin`]) accepts
+//! any [`Name`]: a string, interned under the same lock acquisition that
+//! records the event, or a [`Sym`] pre-interned once with
+//! [`Recorder::intern`], which skips even the hash lookup.
 //!
 //! ```
 //! use hetsim::obs::{Recorder, SpanKind};
@@ -95,7 +96,7 @@ impl SpanKind {
 ///
 /// Symbols are **per recorder** — a `Sym` obtained from one enabled
 /// recorder is meaningless on another. [`Recorder::intern`] on a disabled
-/// recorder returns the inert [`Sym::NOOP`], which every `*_sym` method
+/// recorder returns the inert [`Sym::NOOP`], which every entry point
 /// ignores, so hot paths can cache symbols unconditionally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
@@ -104,15 +105,45 @@ impl Sym {
     /// The inert symbol handed out by disabled recorders.
     pub const NOOP: Sym = Sym(u32::MAX);
 
-    /// Raw table index (meaningful only for the recorder that made it).
-    #[inline]
-    pub fn index(self) -> u32 {
-        self.0
-    }
-
     #[inline]
     fn is_noop(self) -> bool {
         self.0 == u32::MAX
+    }
+}
+
+/// A span, track or metric name as the recorder's entry points take it:
+/// any string (`&str`, `String`, `&String`), interned on the call, or a
+/// [`Sym`] pre-interned with [`Recorder::intern`]. Sealed: those two
+/// forms are the whole contract.
+pub trait Name: sealed::Sealed {}
+
+impl<T: sealed::Sealed> Name for T {}
+
+mod sealed {
+    use super::Sym;
+
+    /// How a [`super::Name`] reaches the symbol table.
+    pub enum Key<'a> {
+        Str(&'a str),
+        Sym(Sym),
+    }
+
+    pub trait Sealed {
+        fn key(&self) -> Key<'_>;
+    }
+
+    impl<T: AsRef<str>> Sealed for T {
+        #[inline]
+        fn key(&self) -> Key<'_> {
+            Key::Str(self.as_ref())
+        }
+    }
+
+    impl Sealed for Sym {
+        #[inline]
+        fn key(&self) -> Key<'_> {
+            Key::Sym(*self)
+        }
     }
 }
 
@@ -273,6 +304,17 @@ impl ObsState {
         id
     }
 
+    /// The symbol id behind `name`: a string is interned here, under the
+    /// caller's lock; `None` for the inert [`Sym::NOOP`].
+    #[inline]
+    fn id(&mut self, name: &impl Name) -> Option<u32> {
+        match name.key() {
+            sealed::Key::Str(s) => Some(self.intern(s)),
+            sealed::Key::Sym(sym) if sym.is_noop() => None,
+            sealed::Key::Sym(sym) => Some(sym.0),
+        }
+    }
+
     /// The name-sorted symbol index, rebuilt only after new interns.
     fn ensure_sorted(&mut self) {
         if !self.sorted_dirty {
@@ -376,34 +418,27 @@ impl Recorder {
 
     // ----------------------------------------------------------- symbols
 
-    /// Intern `name` into this recorder's symbol table, for use with the
-    /// `*_sym` hot-path methods. Costs one hash lookup (one allocation the
-    /// first time a name is seen); on a disabled recorder returns the
-    /// inert [`Sym::NOOP`].
+    /// Intern `name` into this recorder's symbol table, so a hot caller
+    /// can pass the returned [`Sym`] to any entry point and skip the hash
+    /// lookup. Costs one hash lookup (one allocation the first time a name
+    /// is seen); on a disabled recorder returns the inert [`Sym::NOOP`].
     pub fn intern(&self, name: &str) -> Sym {
         self.with(|s| Sym(s.intern(name))).unwrap_or(Sym::NOOP)
-    }
-
-    /// The name behind a symbol, if it belongs to this recorder.
-    pub fn resolve(&self, sym: Sym) -> Option<String> {
-        if sym.is_noop() {
-            return None;
-        }
-        self.with(|s| s.interner.names.get(sym.0 as usize).map(|n| n.to_string()))
-            .flatten()
     }
 
     // ------------------------------------------------------------- spans
 
     /// Open a wall-clock span; it parents every span recorded until
     /// [`Recorder::end`]. Returns a no-op handle on a disabled recorder.
-    pub fn begin(&self, name: impl AsRef<str>, kind: SpanKind) -> OpenSpan {
-        let id = self.with(|s| {
-            let name = s.intern(name.as_ref());
-            let start = s.wall();
-            let wall = s.wall_sym;
-            s.push_span(name, kind, wall, start, f64::NAN, true)
-        });
+    pub fn begin(&self, name: impl Name, kind: SpanKind) -> OpenSpan {
+        let id = self
+            .with(|s| {
+                let name = s.id(&name)?;
+                let start = s.wall();
+                let wall = s.wall_sym;
+                Some(s.push_span(name, kind, wall, start, f64::NAN, true))
+            })
+            .flatten();
         OpenSpan { id }
     }
 
@@ -430,31 +465,21 @@ impl Recorder {
     /// `Sim` knows a kernel's start and duration on the simulated clock).
     /// The currently open span, if any, becomes its parent.
     ///
-    /// Allocation-free after the first sighting of `name` and `track`.
+    /// One lock acquisition, string names included; allocation-free after
+    /// the first sighting of `name` and `track`.
     pub fn record_span(
         &self,
-        name: impl AsRef<str>,
+        name: impl Name,
         kind: SpanKind,
-        track: impl AsRef<str>,
+        track: impl Name,
         start: f64,
         end: f64,
     ) {
         self.with(|s| {
-            let name = s.intern(name.as_ref());
-            let track = s.intern(track.as_ref());
+            let (Some(name), Some(track)) = (s.id(&name), s.id(&track)) else {
+                return;
+            };
             s.push_span(name, kind, track, start, end, false);
-        });
-    }
-
-    /// [`Recorder::record_span`] with pre-interned symbols: no hashing,
-    /// no allocation — the hottest simulator paths (`Sim::launch_on`)
-    /// use this with symbols cached across calls.
-    pub fn record_span_sym(&self, name: Sym, kind: SpanKind, track: Sym, start: f64, end: f64) {
-        if name.is_noop() || track.is_noop() {
-            return;
-        }
-        self.with(|s| {
-            s.push_span(name.0, kind, track.0, start, end, false);
         });
     }
 
@@ -488,43 +513,20 @@ impl Recorder {
 
     /// Add `delta` to counter `name` (creating it at 0).
     #[inline]
-    pub fn incr(&self, name: &str, delta: f64) {
+    pub fn incr(&self, name: impl Name, delta: f64) {
         self.with(|s| {
-            let id = s.intern(name);
+            let Some(id) = s.id(&name) else { return };
             let slot = ObsState::slot(&mut s.counters, id);
-            *slot = Some(slot.unwrap_or(0.0) + delta);
-        });
-    }
-
-    /// [`Recorder::incr`] with a pre-interned symbol (no hash lookup).
-    #[inline]
-    pub fn incr_sym(&self, name: Sym, delta: f64) {
-        if name.is_noop() {
-            return;
-        }
-        self.with(|s| {
-            let slot = ObsState::slot(&mut s.counters, name.0);
             *slot = Some(slot.unwrap_or(0.0) + delta);
         });
     }
 
     /// Set gauge `name` to its latest value.
     #[inline]
-    pub fn gauge(&self, name: &str, value: f64) {
+    pub fn gauge(&self, name: impl Name, value: f64) {
         self.with(|s| {
-            let id = s.intern(name);
+            let Some(id) = s.id(&name) else { return };
             *ObsState::slot(&mut s.gauges, id) = Some(value);
-        });
-    }
-
-    /// [`Recorder::gauge`] with a pre-interned symbol (no hash lookup).
-    #[inline]
-    pub fn gauge_sym(&self, name: Sym, value: f64) {
-        if name.is_noop() {
-            return;
-        }
-        self.with(|s| {
-            *ObsState::slot(&mut s.gauges, name.0) = Some(value);
         });
     }
 
@@ -837,13 +839,12 @@ mod tests {
         assert!(r.spans().is_empty());
         assert_eq!(r.counter("flops"), 0.0);
         assert_eq!(r.gauge_value("g"), None);
-        // The sym API is inert too.
+        // Pre-interned names are inert too.
         let sym = r.intern("anything");
         assert_eq!(sym, Sym::NOOP);
-        assert_eq!(r.resolve(sym), None);
-        r.incr_sym(sym, 1.0);
-        r.gauge_sym(sym, 1.0);
-        r.record_span_sym(sym, SpanKind::Kernel, sym, 0.0, 1.0);
+        r.incr(sym, 1.0);
+        r.gauge(sym, 1.0);
+        r.record_span(sym, SpanKind::Kernel, sym, 0.0, 1.0);
         assert!(r.spans().is_empty());
     }
 
@@ -915,19 +916,26 @@ mod tests {
         let flops = r.intern("flops");
         let k = r.intern("kern");
         let t = r.intern("gpu0.s0");
-        r.incr_sym(flops, 2.0);
+        r.incr(flops, 2.0);
         r.incr("flops", 1.0);
-        r.record_span_sym(k, SpanKind::Kernel, t, 0.0, 1.0);
+        r.record_span(k, SpanKind::Kernel, t, 0.0, 1.0);
+        // A symbol and a string name can mix within one span.
+        r.record_span(String::from("kern"), SpanKind::Kernel, t, 1.0, 2.0);
         assert_eq!(r.counter("flops"), 3.0);
-        assert_eq!(r.resolve(flops).as_deref(), Some("flops"));
         let spans = r.spans();
         assert_eq!(spans[0].name, "kern");
         assert_eq!(spans[0].track, "gpu0.s0");
+        assert_eq!(spans[1].name, "kern");
         // Interning the same name twice returns the same symbol.
         assert_eq!(r.intern("flops"), flops);
         let hit = r.intern("hit_rate");
-        r.gauge_sym(hit, 0.5);
+        r.gauge(hit, 0.5);
         assert_eq!(r.gauge_value("hit_rate"), Some(0.5));
+        // A symbol from a disabled recorder is ignored by an enabled one.
+        r.incr(Sym::NOOP, 1.0);
+        r.record_span(Sym::NOOP, SpanKind::Kernel, t, 2.0, 3.0);
+        assert_eq!(r.span_count(), 2);
+        assert_eq!(r.begin(Sym::NOOP, SpanKind::Phase).id, None);
     }
 
     #[test]

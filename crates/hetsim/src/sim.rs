@@ -1,5 +1,6 @@
 //! The simulation engine: virtual clocks per execution stream and per
-//! copy engine, transfers, events, and counters.
+//! copy engine, transfers, and events. Activity counts (launches, flops,
+//! bytes per route) go to the attached [`Recorder`].
 //!
 //! [`Sim`] owns one [`Machine`] (usually a single node — multi-node effects
 //! go through [`crate::network`]) plus two families of clocks:
@@ -29,7 +30,6 @@ use crate::kernel::KernelProfile;
 use crate::mem::{MemId, MemTracker, Migration, OomError, OomPolicy};
 use crate::obs::{Recorder, SpanKind, Sym};
 use crate::spec::{LinkKind, LinkSpec, Machine};
-use crate::unified::{ManagedBuffer, Residency};
 
 /// Where data lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -222,19 +222,6 @@ pub enum TransferKind {
 /// flatter a result.
 pub const PHANTOM_NVME_BW_GBS: f64 = 0.5;
 
-/// Cumulative activity counters.
-#[derive(Debug, Clone, Default)]
-pub struct Counters {
-    pub kernels_launched: u64,
-    pub flops: f64,
-    pub bytes_h2d: f64,
-    pub bytes_d2h: f64,
-    pub bytes_d2d: f64,
-    pub bytes_nvme: f64,
-    /// Per-kernel-name accumulated busy time (seconds).
-    pub kernel_time: HashMap<String, f64>,
-}
-
 /// Pre-interned symbols for the recorder names `Sim` touches on every
 /// kernel launch / transfer — rebuilt whenever a recorder is attached,
 /// inert ([`Sym::NOOP`]) when tracing is off.
@@ -276,7 +263,6 @@ pub struct Sim {
     /// simulated seconds (the `des` clock contract); copies sharing an
     /// engine queue FIFO behind its track.
     tracks: TrackSet<SimTrack>,
-    counters: Counters,
     /// Observability sink; [`Recorder::noop`] by default, so the hot paths
     /// pay one branch when tracing is off.
     recorder: Recorder,
@@ -305,7 +291,6 @@ impl Sim {
         Sim {
             machine,
             tracks: TrackSet::new(),
-            counters: Counters::default(),
             hot_syms: HotSyms::for_recorder(&recorder),
             mem_syms: Vec::new(),
             stream_track_syms: HashMap::new(),
@@ -394,10 +379,6 @@ impl Sim {
         &self.machine
     }
 
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
     fn resolve_threads(&self, t: Target) -> Target {
         match t {
             Target::Cpu { threads } => Target::Cpu {
@@ -444,24 +425,16 @@ impl Sim {
         let track = self.stream_track(stream);
         let start = self.tracks.time(track);
         self.tracks.set(track, start + dt);
-        self.counters.kernels_launched += 1;
-        self.counters.flops += k.flops;
-        *self
-            .counters
-            .kernel_time
-            .entry(k.name.clone())
-            .or_insert(0.0) += dt;
         if self.recorder.is_enabled() {
-            // Hot path: interned track + metric symbols — no label
+            // Hot path: interned track + metric symbols, and the kernel
+            // name interned under the span's own lock — no label
             // formatting, no per-span `String` allocation.
             let track = self.stream_track_sym(stream);
-            let name = self.recorder.intern(&k.name);
             self.recorder
-                .record_span_sym(name, SpanKind::Kernel, track, start, start + dt);
-            self.recorder.incr_sym(self.hot_syms.launches, 1.0);
-            self.recorder.incr_sym(self.hot_syms.flops, k.flops);
-            self.recorder
-                .incr_sym(self.hot_syms.kernel_bytes, k.bytes());
+                .record_span(k.name.as_str(), SpanKind::Kernel, track, start, start + dt);
+            self.recorder.incr(self.hot_syms.launches, 1.0);
+            self.recorder.incr(self.hot_syms.flops, k.flops);
+            self.recorder.incr(self.hot_syms.kernel_bytes, k.bytes());
         }
         dt
     }
@@ -672,35 +645,26 @@ impl Sim {
         start: f64,
         done: f64,
     ) {
+        if !self.recorder.is_enabled() {
+            return;
+        }
         let metric = match (src, dst) {
-            (Loc::Host, Loc::Gpu(_)) => {
-                self.counters.bytes_h2d += bytes;
-                "bytes_h2d"
-            }
-            (Loc::Gpu(_), Loc::Host) => {
-                self.counters.bytes_d2h += bytes;
-                "bytes_d2h"
-            }
-            (Loc::Gpu(_), Loc::Gpu(_)) => {
-                self.counters.bytes_d2d += bytes;
-                "bytes_d2d"
-            }
-            (Loc::Nvme, _) | (_, Loc::Nvme) => {
-                self.counters.bytes_nvme += bytes;
-                "bytes_nvme"
-            }
+            (Loc::Host, Loc::Gpu(_)) => "bytes_h2d",
+            (Loc::Gpu(_), Loc::Host) => "bytes_d2h",
+            (Loc::Gpu(_), Loc::Gpu(_)) => "bytes_d2d",
+            (Loc::Nvme, _) | (_, Loc::Nvme) => "bytes_nvme",
             _ => "bytes_other",
         };
-        if self.recorder.is_enabled() {
-            let track = self.engine_track_sym(engine);
-            let name = self
-                .recorder
-                .intern(&format!("xfer {src:?}->{dst:?} ({bytes:.0} B)"));
-            self.recorder
-                .record_span_sym(name, SpanKind::Transfer, track, start, done);
-            self.recorder.incr_sym(self.hot_syms.transfers, 1.0);
-            self.recorder.incr(metric, bytes);
-        }
+        let track = self.engine_track_sym(engine);
+        self.recorder.record_span(
+            format!("xfer {src:?}->{dst:?} ({bytes:.0} B)"),
+            SpanKind::Transfer,
+            track,
+            start,
+            done,
+        );
+        self.recorder.incr(self.hot_syms.transfers, 1.0);
+        self.recorder.incr(metric, bytes);
     }
 
     fn loc_stream(&self, loc: Loc) -> StreamId {
@@ -789,8 +753,8 @@ impl Sim {
         self.tracks.set(track, t + dt);
     }
 
-    /// Reset all clocks, counters and memory accounting, keeping the
-    /// machine, recorder and OOM policy (interned track ids survive, per
+    /// Reset all clocks and memory accounting, keeping the machine,
+    /// recorder and OOM policy (interned track ids survive, per
     /// the `des` reset discipline) — and scrub this sim's `sim.*` /
     /// `mem.*` counters and gauges from the recorder, exactly as
     /// [`crate::Network::reset`] scrubs `net.*`. Before the scrub, a
@@ -798,7 +762,6 @@ impl Sim {
     /// `sim.phantom_link_hits` counts) across sweep iterations.
     pub fn reset(&mut self) {
         self.tracks.reset_times();
-        self.counters = Counters::default();
         self.mem = MemTracker::for_machine(&self.machine, self.mem.policy());
         self.phantom_routes.borrow_mut().clear();
         self.recorder.remove_prefixed("sim.");
@@ -860,9 +823,8 @@ impl Sim {
         }
         for loc in self.mem.locs() {
             let (bytes, high_water) = self.mem_gauge_syms(loc);
-            self.recorder.gauge_sym(bytes, self.mem.in_use(loc));
-            self.recorder
-                .gauge_sym(high_water, self.mem.high_water(loc));
+            self.recorder.gauge(bytes, self.mem.in_use(loc));
+            self.recorder.gauge(high_water, self.mem.high_water(loc));
         }
     }
 
@@ -877,30 +839,6 @@ impl Sim {
         let high_water = self.recorder.intern(&format!("mem.{label}.high_water"));
         self.mem_syms.push((loc, bytes, high_water));
         (bytes, high_water)
-    }
-
-    /// Touch a [`ManagedBuffer`] from `side` **through the simulator**: a
-    /// migration occupies the right copy engine (H2D for host→device,
-    /// D2H for device→host), joins both endpoints' default streams like
-    /// any blocking UM fault storm, and emits a `Transfer` span — so UM
-    /// traffic is visible on timelines and contends with async copies.
-    /// Returns the migration seconds paid (zero if already resident).
-    ///
-    /// Prefer this over the raw cost-only [`ManagedBuffer::touch`], which
-    /// advances no clock and records no span.
-    pub fn touch_managed(&mut self, buf: &mut ManagedBuffer, side: Residency, gpu: usize) -> f64 {
-        if buf.residency == side {
-            return 0.0;
-        }
-        let (src, dst) = match side {
-            Residency::Device => (Loc::Host, Loc::Gpu(gpu)),
-            Residency::Host => (Loc::Gpu(gpu), Loc::Host),
-        };
-        let dt = self.transfer(src, dst, buf.bytes, TransferKind::Unified);
-        buf.residency = side;
-        buf.migration_cost += dt;
-        buf.migrations += 1;
-        dt
     }
 }
 
@@ -925,11 +863,12 @@ mod tests {
 
     #[test]
     fn transfer_joins_both_endpoints() {
-        let mut s = sim();
+        let rec = Recorder::enabled();
+        let mut s = sim().with_recorder(rec.clone());
         let dt = s.transfer(Loc::Host, Loc::Gpu(0), 1e9, TransferKind::Memcpy);
         assert!(dt > 0.0);
         assert!((s.time(Target::gpu(0)) - s.time(Target::cpu_all())).abs() < 1e-15);
-        assert_eq!(s.counters().bytes_h2d, 1e9);
+        assert_eq!(rec.counter("bytes_h2d"), 1e9);
     }
 
     #[test]
@@ -1038,17 +977,21 @@ mod tests {
             TransferKind::Memcpy,
             Target::cpu_all(),
         );
+        s.alloc(Loc::Gpu(0), 1e9).expect("fits");
         s.reset();
         assert_eq!(s.elapsed(), 0.0);
         assert_eq!(s.engine_time(Engine::H2d(0)), 0.0);
-        assert_eq!(s.counters().kernels_launched, 0);
+        assert_eq!(s.mem().in_use(Loc::Gpu(0)), 0.0);
+        assert_eq!(s.mem().high_water(Loc::Gpu(0)), 0.0);
+        assert_eq!(s.mem().live_regions(), 0);
     }
 
     // ------------------------------------------------- copy-engine model
 
     #[test]
     fn async_transfer_does_not_stall_other_streams() {
-        let mut s = sim();
+        let rec = Recorder::enabled();
+        let mut s = sim().with_recorder(rec.clone());
         let copy_q = StreamId {
             target: Target::cpu_all(),
             index: 1,
@@ -1066,7 +1009,7 @@ mod tests {
             ev.time
         );
         assert_eq!(s.engine_time(Engine::H2d(0)), ev.time);
-        assert_eq!(s.counters().bytes_h2d, 1e9);
+        assert_eq!(rec.counter("bytes_h2d"), 1e9);
     }
 
     #[test]
@@ -1120,7 +1063,8 @@ mod tests {
 
     #[test]
     fn opposite_directions_ride_separate_engines() {
-        let mut s = sim();
+        let rec = Recorder::enabled();
+        let mut s = sim().with_recorder(rec.clone());
         let bytes = 1e8;
         let up = StreamId {
             target: Target::gpu(0),
@@ -1134,8 +1078,8 @@ mod tests {
         let e2 = s.transfer_async(Loc::Gpu(0), Loc::Host, bytes, TransferKind::Memcpy, down);
         // Full-duplex NVLink: both complete in one copy time.
         assert!((e1.time - e2.time).abs() < 1e-12);
-        assert_eq!(s.counters().bytes_h2d, bytes);
-        assert_eq!(s.counters().bytes_d2h, bytes);
+        assert_eq!(rec.counter("bytes_h2d"), bytes);
+        assert_eq!(rec.counter("bytes_d2h"), bytes);
     }
 
     #[test]
@@ -1416,55 +1360,6 @@ mod tests {
         assert!((dt - 0.5).abs() / 0.5 < 0.01, "dt {dt}");
     }
 
-    // ------------------------------------------- Sim-integrated UM touches
-
-    #[test]
-    fn touch_managed_occupies_the_engine_and_emits_a_span() {
-        use crate::obs::Recorder;
-        use crate::unified::{ManagedBuffer, Residency};
-        let rec = Recorder::enabled();
-        let mut s = sim().with_recorder(rec.clone());
-        let mut buf = ManagedBuffer::new(64e6, Residency::Host);
-        let dt = s.touch_managed(&mut buf, Residency::Device, 0);
-        assert!(dt > 0.0);
-        assert_eq!(buf.residency, Residency::Device);
-        assert_eq!(buf.migrations, 1);
-        // The migration occupied the H2D engine and advanced both default
-        // streams (a blocking fault storm).
-        assert!((s.engine_time(Engine::H2d(0)) - dt).abs() < 1e-15);
-        assert!((s.time(Target::gpu(0)) - dt).abs() < 1e-15);
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].kind, SpanKind::Transfer);
-        assert_eq!(spans[0].track, "gpu0.h2d");
-        // Resident touches stay free and invisible.
-        assert_eq!(s.touch_managed(&mut buf, Residency::Device, 0), 0.0);
-        assert_eq!(rec.spans().len(), 1);
-        // Migrating back rides the D2H engine.
-        s.touch_managed(&mut buf, Residency::Host, 0);
-        assert_eq!(rec.spans()[1].track, "gpu0.d2h");
-    }
-
-    #[test]
-    fn touch_managed_contends_with_async_copies() {
-        use crate::unified::{ManagedBuffer, Residency};
-        let mut s = sim();
-        let q = StreamId {
-            target: Target::gpu(0),
-            index: 1,
-        };
-        let ev = s.transfer_async(Loc::Host, Loc::Gpu(0), 1e9, TransferKind::Memcpy, q);
-        let mut buf = ManagedBuffer::new(64e6, Residency::Host);
-        let dt = s.touch_managed(&mut buf, Residency::Device, 0);
-        // The UM migration queued FIFO behind the async copy on gpu0.h2d.
-        assert!((s.engine_time(Engine::H2d(0)) - (ev.time + dt)).abs() < 1e-12);
-        // The raw cost-only path agrees on the migration duration.
-        let link = s.machine().host_gpu_link();
-        let mut raw = ManagedBuffer::new(64e6, Residency::Host);
-        let raw_dt = raw.touch(Residency::Device, &link);
-        assert!((dt - raw_dt).abs() < 1e-15);
-    }
-
     // ------------------------------------------- memory-capacity accounting
 
     #[test]
@@ -1515,14 +1410,38 @@ mod tests {
     }
 
     #[test]
+    fn um_faults_queue_behind_async_copies_and_block_both_streams() {
+        // A fault-in charged by `touch_mem` is a blocking `Unified`
+        // transfer: it waits FIFO behind an async copy on gpu0.h2d, costs
+        // exactly the `Unified` route, and joins both default streams.
+        use crate::mem::OomPolicy;
+        let mut s = sim().with_oom_policy(OomPolicy::UnifiedSpill);
+        let q = StreamId {
+            target: Target::gpu(0),
+            index: 1,
+        };
+        let ev = s.transfer_async(Loc::Host, Loc::Gpu(0), 1e9, TransferKind::Memcpy, q);
+        let id = s.alloc(Loc::Gpu(0), 64e6).unwrap();
+        let dt = s.touch_mem(id).unwrap();
+        let um = s.transfer_cost(Loc::Host, Loc::Gpu(0), 64e6, TransferKind::Unified);
+        assert_eq!(dt, um);
+        assert!((s.engine_time(Engine::H2d(0)) - (ev.time + dt)).abs() < 1e-12);
+        assert_eq!(s.time(Target::gpu(0)), s.engine_time(Engine::H2d(0)));
+        assert_eq!(s.time(Target::cpu_all()), s.time(Target::gpu(0)));
+    }
+
+    #[test]
     fn nvme_spill_stages_over_the_nvme_link() {
         use crate::mem::OomPolicy;
         use crate::GIB;
-        let mut s = sim().with_oom_policy(OomPolicy::NvmeSpill);
+        let rec = Recorder::enabled();
+        let mut s = sim()
+            .with_recorder(rec.clone())
+            .with_oom_policy(OomPolicy::NvmeSpill);
         let _a = s.alloc(Loc::Gpu(0), 12.0 * GIB).unwrap();
         let _b = s.alloc(Loc::Gpu(0), 12.0 * GIB).unwrap();
         // 8 GiB staged out to NVMe at alloc time, counted and charged.
-        assert!(s.counters().bytes_nvme >= 8.0 * GIB);
+        assert!(rec.counter("bytes_nvme") >= 8.0 * GIB);
         assert!(s.elapsed() > 0.0);
         assert!(s.mem().in_use(Loc::Gpu(0)) <= 16.0 * GIB + 1.0);
     }

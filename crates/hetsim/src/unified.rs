@@ -9,6 +9,11 @@
 //! The model: a migration moves data page-by-page; each page fault costs a
 //! fixed service time on top of the link transfer, so small or scattered
 //! working sets see far less than link bandwidth.
+//!
+//! Residency lives in [`crate::mem`]: under
+//! [`crate::OomPolicy::UnifiedSpill`], [`crate::Sim::touch_mem`] charges
+//! each fault-in or eviction as a [`crate::TransferKind::Unified`] copy,
+//! which [`crate::Sim::transfer_cost`] prices with [`migration_time`].
 
 use crate::spec::LinkSpec;
 
@@ -31,59 +36,6 @@ pub fn migration_time(link: &LinkSpec, bytes: f64) -> f64 {
     // Faults are serviced in batches of up to 16 pages on Pascal+.
     let fault_batches = (pages(bytes) / 16.0).ceil();
     fault_batches * FAULT_SERVICE_S + bytes / (link.bw_gbs * 1e9)
-}
-
-/// Tracks residency of one allocation so repeated kernels only pay
-/// migration when the data actually moved (the SAMRAI lesson: keep data in
-/// device memory as long as possible).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residency {
-    Host,
-    Device,
-}
-
-/// A managed allocation with first-touch migration accounting.
-#[derive(Debug, Clone)]
-pub struct ManagedBuffer {
-    pub bytes: f64,
-    pub residency: Residency,
-    /// Total migration seconds paid so far.
-    pub migration_cost: f64,
-    /// Number of migrations performed.
-    pub migrations: u32,
-}
-
-impl ManagedBuffer {
-    pub fn new(bytes: f64, residency: Residency) -> Self {
-        ManagedBuffer {
-            bytes,
-            residency,
-            migration_cost: 0.0,
-            migrations: 0,
-        }
-    }
-
-    /// Touch the buffer from `side`; returns the migration time paid (zero
-    /// if already resident).
-    ///
-    /// **Cost-only path.** This advances *no* simulator clock, occupies no
-    /// copy engine, and emits no span — UM traffic modelled this way is
-    /// invisible on timelines and never contends with async copies. Prefer
-    /// [`crate::Sim::touch_managed`], which charges the migration to the
-    /// right DMA engine (H2D or D2H) and records a `Transfer` span, so page
-    /// migrations show up next to `memcpy`s exactly as they do in a real
-    /// `nvprof` trace. Keep this method only for standalone what-if cost
-    /// arithmetic that is deliberately outside a `Sim`.
-    pub fn touch(&mut self, side: Residency, link: &LinkSpec) -> f64 {
-        if self.residency == side {
-            return 0.0;
-        }
-        let t = migration_time(link, self.bytes);
-        self.residency = side;
-        self.migration_cost += t;
-        self.migrations += 1;
-        t
-    }
 }
 
 #[cfg(test)]
@@ -114,24 +66,18 @@ mod tests {
     }
 
     #[test]
-    fn resident_touch_is_free() {
-        let l = nvlink();
-        let mut b = ManagedBuffer::new(1e6, Residency::Host);
-        assert!(b.touch(Residency::Device, &l) > 0.0);
-        assert_eq!(b.touch(Residency::Device, &l), 0.0);
-        assert_eq!(b.migrations, 1);
-    }
-
-    #[test]
     fn ping_pong_costs_double() {
         // The Cardioid lesson (§4.1): moving data to the "optimal" processor
-        // every iteration can cost more than computing in place.
-        let l = nvlink();
-        let mut b = ManagedBuffer::new(64e6, Residency::Host);
-        b.touch(Residency::Device, &l);
-        b.touch(Residency::Host, &l);
-        b.touch(Residency::Device, &l);
-        assert_eq!(b.migrations, 3);
-        assert!(b.migration_cost > 2.0 * migration_time(&l, 64e6));
+        // every iteration can cost more than computing in place. A round
+        // trip through a `Sim` pays one migration each way over the same
+        // link.
+        let s = crate::Sim::new(crate::machines::sierra_node());
+        let (host, gpu) = (crate::Loc::Host, crate::Loc::Gpu(0));
+        let kind = crate::TransferKind::Unified;
+        let round_trip =
+            s.transfer_cost(host, gpu, 64e6, kind) + s.transfer_cost(gpu, host, 64e6, kind);
+        let one_way = migration_time(&s.machine().host_gpu_link(), 64e6);
+        assert_eq!(round_trip, 2.0 * one_way);
+        assert!(one_way > s.machine().host_gpu_link().transfer_time(64e6));
     }
 }

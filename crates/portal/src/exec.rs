@@ -202,14 +202,8 @@ impl Executor {
         self.sim.recorder()
     }
 
-    /// Cumulative activity counters of the underlying [`Sim`]
-    /// (the same `counters()` shape `Sim` and `Network` expose).
-    pub fn counters(&self) -> &hetsim::sim::Counters {
-        self.sim.counters()
-    }
-
-    /// Reset the underlying sim's clocks and counters, keeping the machine
-    /// and recorder.
+    /// Reset the underlying sim's clocks and memory accounting, keeping
+    /// the machine and recorder.
     pub fn reset(&mut self) {
         self.sim.reset();
     }
@@ -492,7 +486,9 @@ mod tests {
 
     #[test]
     fn executor_reset_and_counters_mirror_sim() {
+        let rec = Recorder::enabled();
         let mut e = exec();
+        e.set_recorder(rec.clone());
         e.forall(
             Policy::device(0),
             Backend::Native,
@@ -500,11 +496,12 @@ mod tests {
             5000,
             |_| {},
         );
-        assert_eq!(e.counters().kernels_launched, 1);
+        assert_eq!(rec.counter("launches"), 1.0);
+        assert_eq!(rec.counter("flops"), 4.0 * 5000.0);
         assert!(e.elapsed() > 0.0);
         e.reset();
-        assert_eq!(e.counters().kernels_launched, 0);
         assert_eq!(e.elapsed(), 0.0);
+        assert_eq!(e.sim().elapsed(), 0.0);
     }
 
     #[test]

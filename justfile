@@ -24,7 +24,7 @@ fmt:
 
 # Regenerate every paper artifact, writing BENCH_<id>.json files to out/.
 experiments:
-    ICOE_BENCH_DIR=out cargo run --release --offline -p bench --bin experiments -- all
+    cargo run --release --offline -p bench --bin experiments -- all --bench-dir out
 
 # The §4.10.1 oversubscription cliff, with UM migrations on the copy engines.
 um-smoke:

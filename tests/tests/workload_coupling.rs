@@ -78,14 +78,15 @@ fn seismic_identical_across_policies() {
 /// activity's kernels must not corrupt another's accounting.
 #[test]
 fn shared_machine_model_accounting_is_additive() {
-    let mut sim = Sim::new(machines::sierra_node());
+    let rec = hetsim::Recorder::enabled();
+    let mut sim = Sim::new(machines::sierra_node()).with_recorder(rec.clone());
     let k1 = hetsim::KernelProfile::new("a").flops(1e9).bytes_read(1e8);
     let k2 = hetsim::KernelProfile::new("b").flops(2e9).bytes_read(2e8);
     let t1 = sim.launch(Target::gpu(0), &k1);
     let t2 = sim.launch(Target::gpu(0), &k2);
     assert!((sim.time(Target::gpu(0)) - (t1 + t2)).abs() < 1e-15);
-    assert_eq!(sim.counters().kernels_launched, 2);
-    assert!((sim.counters().flops - 3e9).abs() < 1.0);
+    assert_eq!(rec.counter("launches"), 2.0);
+    assert!((rec.counter("flops") - 3e9).abs() < 1.0);
     // Different GPU: independent stream.
     sim.launch(Target::gpu(1), &k1);
     assert!(sim.time(Target::gpu(1)) < sim.time(Target::gpu(0)));
