@@ -19,9 +19,10 @@
 //! * **Allocation audit** — the counting global allocator (the
 //!   `benches/recorder.rs` harness extended to the serving loop)
 //!   measures allocations across a *warm* 100k-job serve with a noop
-//!   recorder and asserts the steady state rounds to **0 allocations
-//!   per event** (< 0.01; the residue is rare calendar-bucket pool
-//!   growth and the final wait-percentile sort).
+//!   recorder under FCFS, SLA-Urgency and EASY-Backfill, and asserts the
+//!   steady state rounds to **0 allocations per event** (< 0.01; the
+//!   residue is rare calendar-bucket pool growth and the final
+//!   wait-percentile sort).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,33 +145,42 @@ fn million_job_probe(_c: &mut Criterion) {
 }
 
 /// The allocation audit: a warm serve must not touch the allocator in
-/// its steady state (noop recorder). Asserted, not just reported — this
-/// is the ISSUE-10 "0 allocations per event" acceptance criterion.
+/// its steady state (noop recorder). Asserted, not just reported: the
+/// serving loop's "0 allocations per event" acceptance criterion. FCFS
+/// places through the simulator's fallback query, SLA-Urgency pins
+/// through `ClusterView::fastest_fit`, and EASY-Backfill works out its
+/// shadow: each path, and the free-capacity index they keep current,
+/// must stay off the allocator once the simulator is warm.
 fn allocation_audit(_c: &mut Criterion) {
     let fleet = fleet_scaled(1000);
     let jobs = stream(100_000, 1000);
     let rec = Recorder::noop();
     let mut sim = ClusterSim::new(&fleet);
-    sim.run(&jobs, &Fcfs, &rec); // warm: buffers grown, arena sized
+    for p in [&Fcfs as &dyn SchedPolicy, &SlaUrgency, &EasyBackfill] {
+        sim.run(&jobs, p, &rec); // warm: buffers grown, arena sized
 
-    // Arrive + Finish per job, plus the initial park sweep and governor
-    // park checks — a conservative lower bound on events processed.
-    let events = (2 * jobs.len()) as f64;
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let m = sim.run(&jobs, &Fcfs, &rec);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(m.completed, jobs.len());
-    let per_event = allocs as f64 / events;
-    eprintln!(
-        "cluster/steady_state_allocs: {allocs} allocations across {} events \
-         ({per_event:.4} allocs/event)",
-        events as u64
-    );
-    assert!(
-        per_event < 0.01,
-        "steady-state serving loop must stay off the allocator: \
-         {allocs} allocs / {events} events = {per_event:.4}"
-    );
+        // Arrive + Finish per job, plus the initial park sweep and
+        // governor park checks — a conservative lower bound on events
+        // processed.
+        let events = (2 * jobs.len()) as f64;
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let m = sim.run(&jobs, p, &rec);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(m.completed, jobs.len());
+        let per_event = allocs as f64 / events;
+        eprintln!(
+            "cluster/steady_state_allocs_{}: {allocs} allocations across {} events \
+             ({per_event:.4} allocs/event)",
+            policy_label(p),
+            events as u64
+        );
+        assert!(
+            per_event < 0.01,
+            "{}: steady-state serving loop must stay off the allocator: \
+             {allocs} allocs / {events} events = {per_event:.4}",
+            p.name()
+        );
+    }
 }
 
 criterion_group! {

@@ -25,9 +25,15 @@
 //!   head removal is O(1) and mid-queue removal is one `memmove`;
 //! * cached `free_gpus` / capacity aggregates, updated by the same deltas
 //!   (debug builds periodically recount from scratch and assert equality);
-//! * a [`FreeCapacity`] index patched by the same deltas, so the
+//! * a [`FreeCapacity`] index of the nodes' free counts and power
+//!   states, patched on every place, finish, park and wake. The
 //!   `ClusterView::fits` every policy asks per queued job is one compare
-//!   instead of a scan of the fleet;
+//!   against it, and both placement searches descend one speed group's
+//!   segment tree in O(log n) instead of visiting nodes: SLA-Urgency's
+//!   pin ([`ClusterView::fastest_fit`]) and the simulator's own fallback
+//!   for policies that do not pin ([`FreeCapacity::fastest_best_fit`]:
+//!   fastest speed group, awake before parked, fewest free GPUs, lowest
+//!   id);
 //! * reusable scratch buffers (event batch, waits, the event arena), so
 //!   the steady-state loop allocates nothing per event.
 //!
@@ -47,7 +53,6 @@
 
 use hetsim::des::EventKernel;
 use hetsim::obs::{quantile, Recorder, SpanKind};
-use sched::policy::desc_speed_nan_last;
 use sched::{ClusterView, FreeCapacity, JobInfo, NodeView, QueuedJob, RunningJob, SchedPolicy};
 
 use super::machine::MachineClass;
@@ -131,22 +136,10 @@ struct NodeAux {
     running: u32,
 }
 
-/// One contiguous id range of identical nodes (one machine class).
-#[derive(Debug, Clone, Copy)]
-struct ClassRange {
-    start: usize,
-    end: usize,
-    gpus_per_node: usize,
-    cores_per_node: usize,
-}
-
-/// Maximum GPUs per node the packed placement key can hold (24 bits).
-const MAX_GPUS_PER_NODE: usize = (1 << 24) - 1;
-
-/// Most counters the fleet's [`FreeCapacity`] index may hold: it is sized
-/// (most GPUs per node + 1) × (most cores per node + 1), so this bounds
-/// `cores_per_node` (4 MiB of counters at most).
-const MAX_INDEX_CELLS: usize = 1 << 20;
+/// Most cells the fleet's [`FreeCapacity`] index may hold, as bounded by
+/// [`FreeCapacity::max_cells`] from the fleet's node count and its most
+/// GPUs and cores per node (64 MiB of 4-byte cells at most).
+const MAX_INDEX_CELLS: usize = 1 << 24;
 
 /// Sampling period (events) for the debug-build aggregate recount.
 #[cfg(debug_assertions)]
@@ -162,16 +155,12 @@ pub struct ClusterSim {
     /// The persistent policy-visible node bank (resource source of truth).
     views: Vec<NodeView>,
     aux: Vec<NodeAux>,
-    /// Machine classes grouped by bitwise-equal speed, groups in
-    /// descending-speed order (NaN last) — the simulator-side placement
-    /// fallback walks groups and stops at the first with a fitting node,
-    /// which is exactly the old full-fleet `min_by` order.
-    groups: Vec<Vec<ClassRange>>,
     total_gpus: usize,
     total_cores: usize,
     /// Cached aggregate: sum of `views[i].gpus_free`.
     free_gpus: usize,
-    /// Free-capacity index over `views`, patched by the same deltas.
+    /// Free-capacity index over `views` and the nodes' power states,
+    /// patched on every place, finish, park and wake.
     capacity: FreeCapacity,
     events: EventKernel<Ev>,
     /// Waiting jobs in arrival order, dense behind `head` (the policy
@@ -201,26 +190,20 @@ impl ClusterSim {
         let fleet = cfg.fleet.clone();
         let mut views: Vec<NodeView> = Vec::new();
         let mut aux: Vec<NodeAux> = Vec::new();
-        let mut ranges: Vec<(usize, ClassRange)> = Vec::new();
-        let (mut max_gpus, mut max_cores) = (0usize, 0usize);
+        let (mut nodes, mut max_gpus, mut max_cores) = (0usize, 0usize, 0usize);
         for (ci, c) in fleet.iter().enumerate() {
-            assert!(
-                c.gpus_per_node <= MAX_GPUS_PER_NODE,
-                "class {} gpus_per_node {} overflows the placement key",
-                c.name,
-                c.gpus_per_node
-            );
+            nodes = nodes.saturating_add(c.count);
             max_gpus = max_gpus.max(c.gpus_per_node);
             max_cores = max_cores.max(c.cores_per_node);
             assert!(
-                (max_gpus + 1).saturating_mul(max_cores.saturating_add(1)) <= MAX_INDEX_CELLS,
+                FreeCapacity::max_cells(nodes, max_gpus, max_cores)
+                    .is_some_and(|cells| cells <= MAX_INDEX_CELLS),
                 "class {} ({} GPUs, {} cores per node) grows the free-capacity index \
-                 past {MAX_INDEX_CELLS} counters",
+                 past {MAX_INDEX_CELLS} cells",
                 c.name,
                 c.gpus_per_node,
                 c.cores_per_node
             );
-            let start = views.len();
             for _ in 0..c.count {
                 let id = views.len();
                 views.push(NodeView {
@@ -242,38 +225,8 @@ impl ClusterSim {
                     running: 0,
                 });
             }
-            if c.count > 0 {
-                ranges.push((
-                    ci,
-                    ClassRange {
-                        start,
-                        end: views.len(),
-                        gpus_per_node: c.gpus_per_node,
-                        cores_per_node: c.cores_per_node,
-                    },
-                ));
-            }
         }
         assert!(views.len() < u32::MAX as usize, "fleet too large");
-        // Groups of bitwise-equal speed, descending (NaN last): inside a
-        // group the secondary key (!on, leftover, id) decides, across
-        // groups the speed always does — so walking groups in order and
-        // stopping at the first hit reproduces the global minimum.
-        ranges.sort_by(|a, b| {
-            desc_speed_nan_last(fleet[a.0].speed, fleet[b.0].speed).then(a.0.cmp(&b.0))
-        });
-        let mut groups: Vec<Vec<ClassRange>> = Vec::new();
-        for (ci, r) in ranges {
-            let same = groups.last().is_some_and(|g: &Vec<ClassRange>| {
-                let prev = fleet[views[g[0].start].class].speed;
-                desc_speed_nan_last(prev, fleet[ci].speed) == std::cmp::Ordering::Equal
-            });
-            if same {
-                groups.last_mut().expect("nonempty").push(r);
-            } else {
-                groups.push(vec![r]);
-            }
-        }
         let total_gpus: usize = views.iter().map(|n| n.gpus_total).sum();
         let total_cores: usize = views.iter().map(|n| n.cores_total).sum();
         let free_gpus = total_gpus;
@@ -283,7 +236,6 @@ impl ClusterSim {
             park_after_s: cfg.park_after_s,
             views,
             aux,
-            groups,
             total_gpus,
             total_cores,
             free_gpus,
@@ -305,12 +257,15 @@ impl ClusterSim {
     /// Rewind every clock and counter to the fresh-fleet state, keeping
     /// all buffer capacity (the reuse discipline of `hetsim::des`).
     fn reset(&mut self, jobs: usize) {
-        for v in &mut self.views {
+        for (ni, (v, a)) in self.views.iter_mut().zip(&mut self.aux).enumerate() {
+            // A finished run leaves every node idle, so only the nodes it
+            // left parked move in the index.
+            if v.gpus_free != v.gpus_total || v.cores_free != v.cores_total || !a.on {
+                self.capacity.update(ni, v.gpus_total, v.cores_total, false);
+            }
             v.gpus_free = v.gpus_total;
             v.cores_free = v.cores_total;
             v.busy = false;
-        }
-        for a in &mut self.aux {
             a.on = true;
             a.idle_since = 0.0;
             a.power_mark = 0.0;
@@ -318,7 +273,6 @@ impl ClusterSim {
             a.running = 0;
         }
         self.free_gpus = self.total_gpus;
-        self.capacity.rebuild(&self.views);
         self.events.reset();
         self.queue.clear();
         self.queue_jobs.clear();
@@ -348,44 +302,19 @@ impl ClusterSim {
         a.power_mark = now;
     }
 
-    /// The simulator's placement fallback: the fastest fitting node,
-    /// preferring awake ones, then best GPU fit, then lowest id —
-    /// bitwise-equal to the old whole-fleet
-    /// `min_by(desc_speed_nan_last.then((!on, leftover, id)))` scan, but
-    /// walking speed groups with whole-class skips, so only the winning
-    /// group's nodes are touched.
-    fn place_fallback(&self, job: &JobInfo) -> Option<usize> {
-        for group in &self.groups {
-            // Secondary key packed for a branch-light scan:
-            // (!on) << 56 | gpus_free << 32 | id. Minimizing gpus_free
-            // minimizes leftover (constant offset), ids are unique.
-            let mut best = u64::MAX;
-            for r in group {
-                if job.gpus > r.gpus_per_node || job.cores > r.cores_per_node {
-                    continue; // no node of this class can ever fit it
-                }
-                for i in r.start..r.end {
-                    let v = &self.views[i];
-                    if v.gpus_free >= job.gpus && v.cores_free >= job.cores {
-                        let key = ((!self.aux[i].on as u64) << 56)
-                            | ((v.gpus_free as u64) << 32)
-                            | i as u64;
-                        if key < best {
-                            best = key;
-                        }
-                    }
-                }
-            }
-            if best != u64::MAX {
-                return Some((best & u32::MAX as u64) as usize);
-            }
-        }
-        None
+    /// Bring node `ni`'s entry in the free-capacity index up to date with
+    /// its view and power state.
+    #[inline]
+    fn reindex(&mut self, ni: usize) {
+        let v = &self.views[ni];
+        self.capacity
+            .update(ni, v.gpus_free, v.cores_free, !self.aux[ni].on);
     }
 
     /// From-scratch recount of the incremental aggregates: cached
     /// `free_gpus` vs a fresh per-node sum, the free-capacity index vs
-    /// one rebuilt from the node bank, busy flags vs running counts, and
+    /// one rebuilt from the node bank and the nodes' power states (every
+    /// tree slot, both tiers), busy flags vs running counts, and
     /// the job→slot index vs the running set. Debug builds assert
     /// this periodically from the event loop (every `CHECK_EVERY`
     /// events) and once at end of run; the conformance suite
@@ -403,9 +332,11 @@ impl ClusterSim {
             .iter()
             .enumerate()
             .all(|(pos, &j)| self.job_slot[j as usize] == pos as u32);
+        let mut rebuilt = FreeCapacity::default();
+        rebuilt.rebuild(&self.views, |i| !self.aux[i].on);
         free == self.free_gpus
             && self.total_gpus - free == running_gpus
-            && self.capacity == FreeCapacity::of(&self.views)
+            && self.capacity == rebuilt
             && busy_ok
             && slots_ok
     }
@@ -440,15 +371,11 @@ impl ClusterSim {
     ) -> ClusterMetrics {
         assert!(jobs.len() < u32::MAX as usize, "job stream too large");
         self.reset(jobs.len());
-        // Fit check against machine classes, not nodes: every node of a
-        // class has the class's exact totals, so this is equivalent to
-        // the historical whole-fleet scan at O(classes) per job.
+        // Every node is at full capacity right after the reset, so the
+        // index's one compare tells whether a job can ever run.
         for j in jobs {
             assert!(
-                self.groups
-                    .iter()
-                    .flatten()
-                    .any(|r| j.gpus <= r.gpus_per_node && j.cores <= r.cores_per_node),
+                self.capacity.fits(&job_info(j)),
                 "job {} ({} GPUs, {} cores) fits no node of the fleet",
                 j.id,
                 j.gpus,
@@ -532,16 +459,8 @@ impl ClusterSim {
                 self.debug_check();
                 match ev {
                     Ev::Arrive(i) => {
-                        let j = &jobs[i as usize];
                         self.queue.push(QueuedJob {
-                            job: JobInfo {
-                                id: j.id,
-                                arrival: j.arrival,
-                                duration: j.duration,
-                                gpus: j.gpus,
-                                cores: j.cores,
-                                deadline: j.deadline,
-                            },
+                            job: job_info(&jobs[i as usize]),
                             bypassed: 0,
                         });
                         self.queue_jobs.push(i);
@@ -551,15 +470,14 @@ impl ClusterSim {
                         let j = &jobs[job as usize];
                         self.integrate(ni, now);
                         let v = &mut self.views[ni];
-                        let was = (v.gpus_free, v.cores_free);
                         v.gpus_free += j.gpus;
                         v.cores_free += j.cores;
-                        self.capacity.update(was, (v.gpus_free, v.cores_free));
+                        self.reindex(ni);
                         self.free_gpus += j.gpus;
                         let a = &mut self.aux[ni];
                         a.running -= 1;
                         if a.running == 0 {
-                            v.busy = false;
+                            self.views[ni].busy = false;
                             a.idle_since = now;
                             if let Some(d) = self.park_after_s {
                                 self.events.schedule(
@@ -596,6 +514,7 @@ impl ClusterSim {
                         if a.on && a.running == 0 && a.idle_since == idle_stamp {
                             self.integrate(ni, now);
                             self.aux[ni].on = false;
+                            self.reindex(ni);
                             parks += 1;
                         }
                     }
@@ -627,11 +546,12 @@ impl ClusterSim {
                 let job = self.queue[at].job;
                 let job_idx = self.queue_jobs[at];
                 // Respect the policy's pin when valid, else place on the
-                // fastest fitting node (prefer awake ones, then best fit).
+                // fastest fitting node (prefer awake ones, then best fit,
+                // then lowest id), found by the index.
                 let target = d
                     .node
                     .filter(|&ni| ni < self.views.len() && self.views[ni].fits(&job))
-                    .or_else(|| self.place_fallback(&job));
+                    .or_else(|| self.capacity.fastest_best_fit(&job));
                 let Some(ni) = target else { break };
                 policy.on_select(&mut self.queue[self.head..], d.queue_idx);
                 if d.queue_idx == 0 {
@@ -657,14 +577,13 @@ impl ClusterSim {
                     now + a.wake_s
                 };
                 let v = &mut self.views[ni];
-                let was = (v.gpus_free, v.cores_free);
                 v.gpus_free -= job.gpus;
                 v.cores_free -= job.cores;
                 v.busy = true;
-                self.capacity.update(was, (v.gpus_free, v.cores_free));
+                self.reindex(ni);
                 self.free_gpus -= job.gpus;
                 self.aux[ni].running += 1;
-                let runtime = job.duration / v.speed;
+                let runtime = job.duration / self.views[ni].speed;
                 let finish = start + runtime;
                 self.waits.push(start - job.arrival);
                 busy_gpu_s += runtime * job.gpus as f64;
@@ -750,6 +669,18 @@ impl ClusterSim {
             rec.gauge("cluster.makespan_s", m.makespan);
         }
         m
+    }
+}
+
+/// What a policy sees of `j`.
+fn job_info(j: &ClusterJob) -> JobInfo {
+    JobInfo {
+        id: j.id,
+        arrival: j.arrival,
+        duration: j.duration,
+        gpus: j.gpus,
+        cores: j.cores,
+        deadline: j.deadline,
     }
 }
 
@@ -996,6 +927,26 @@ mod tests {
         huge.gpus_per_node = 0;
         huge.cores_per_node = 1 << 30;
         fleet.push(huge);
+        ClusterSim::new(&ClusterConfig {
+            fleet,
+            park_after_s: None,
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "class gpu-slab (4096 GPUs, 44 cores per node) grows the free-capacity index"
+    )]
+    fn oversized_gpu_counts_are_rejected_up_front() {
+        // Every speed group's tree keeps two slots per free-GPU level for
+        // each of its nodes: a thousand nodes of 4,096 GPUs would take
+        // some 64 MiB of tree, though the histogram alone stays small.
+        let mut fleet = super::super::machine::default_fleet();
+        let mut slab = fleet[0].clone();
+        slab.name = "gpu-slab";
+        slab.count = 1000;
+        slab.gpus_per_node = 4096;
+        fleet.push(slab);
         ClusterSim::new(&ClusterConfig {
             fleet,
             park_after_s: None,

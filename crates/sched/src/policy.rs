@@ -20,9 +20,10 @@ use crate::workload::Job;
 /// last. A plain `total_cmp` on the flipped operands would do the
 /// opposite — IEEE total order ranks positive NaN above `+inf`, so a
 /// node whose speed got corrupted to NaN would win every placement.
-/// Every descending-speed preference in the built-in policies (and in
-/// `icoe::cluster`'s placement fallback) routes through this instead, so
-/// a NaN speed deterministically loses.
+/// Every descending-speed preference routes through this instead: it
+/// orders [`FreeCapacity`]'s speed groups, which SLA-Urgency's pin and
+/// `icoe::cluster`'s placement fallback search, so a NaN speed
+/// deterministically loses.
 pub fn desc_speed_nan_last(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,
@@ -119,20 +120,32 @@ impl NodeView {
     }
 }
 
-/// An exact index of a node bank's free capacity: answers "does this job
-/// fit on some node right now?" without visiting the nodes.
+/// An exact index of a node bank's free capacity: answers whether a job
+/// fits on some node right now, and where, without visiting the nodes.
 ///
-/// For each free-GPU level `g` it keeps the most free cores of any node
-/// with exactly `g` free GPUs, and the maximum of that over the levels
-/// from `g` up. A `(gpus_free, cores_free)` count histogram keeps both
-/// exact as nodes move between levels, so [`FreeCapacity::fits`] is one
-/// compare, and [`FreeCapacity::update`] walks one histogram row only
-/// when a level's widest node leaves it.
+/// * **Whether.** For each free-GPU level `g` the index keeps the most
+///   free cores of any node with exactly `g` free GPUs, and the maximum
+///   of that over the levels from `g` up. A `(gpus_free, cores_free)`
+///   count histogram keeps both exact as nodes move between levels, so
+///   [`FreeCapacity::fits`] is one compare.
+/// * **Where.** The nodes are grouped by speed, fastest first in
+///   [`desc_speed_nan_last`] order, and each group gets a segment tree
+///   over its nodes in id order. Every tree node holds, per (power tier,
+///   free-GPU level), one more than the most free cores of any node below
+///   it in that state (0: none). [`FreeCapacity::fastest_fit`] and
+///   [`FreeCapacity::fastest_best_fit`] descend one tree in O(log n),
+///   pruning exactly.
 ///
-/// The index holds (most GPUs + 1) × (most cores + 1) counters, taken
-/// over every node's free and total counts. Build one for a hand-made
-/// bank with [`FreeCapacity::of`]; a simulator keeps one current by
-/// calling `update` with each node's place and finish deltas.
+/// [`FreeCapacity::update`] is the one entry point for every change of a
+/// node's state: it moves the node between histogram cells and rewrites
+/// two slots along one leaf-to-root path.
+///
+/// The histogram holds (most GPUs + 1) × (most cores + 1) counters, and
+/// each group's tree 4 × (its nodes, rounded up to a power of two) ×
+/// (its most GPUs + 1) cells; [`FreeCapacity::max_cells`] bounds the sum.
+/// Build one for a hand-made bank with [`FreeCapacity::of`]; a simulator
+/// keeps one current by calling `update` whenever a node is placed on,
+/// finishes a job, parks or wakes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FreeCapacity {
     /// Histogram columns: the most cores any node can have free, plus one.
@@ -146,21 +159,76 @@ pub struct FreeCapacity {
     /// `reach[g]`: the maximum of `level[g..]`, i.e. one more than the
     /// most free cores of any node with at least `g` free GPUs.
     reach: Vec<usize>,
+    /// Speed groups, fastest first.
+    groups: Vec<SpeedGroup>,
+    /// Where each node of the indexed bank (by position) sits.
+    seats: Vec<Seat>,
+    /// Node ids in leaf order, group after group.
+    ids: Vec<usize>,
+    /// Every group's segment tree, one after the other.
+    tree: Vec<u32>,
+}
+
+/// One speed group's segment tree inside `FreeCapacity::tree`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SpeedGroup {
+    /// Offset of the group's first leaf in `ids`.
+    first: usize,
+    /// Leaves: the group's nodes, rounded up to a power of two.
+    width: usize,
+    /// Free-GPU levels per power tier: the group's most GPUs, plus one.
+    levels: usize,
+    /// Offset of the group's tree in `tree`. Tree node `k` (root 1, the
+    /// children of `k` are `2k` and `2k + 1`, leaf `i` is `width + i`)
+    /// holds `2 * levels` slots from `base + 2 * levels * k`: the awake
+    /// tier's levels, then the parked tier's.
+    base: usize,
+}
+
+impl SpeedGroup {
+    #[inline]
+    fn slots(&self, k: usize) -> std::ops::Range<usize> {
+        let at = self.base + 2 * self.levels * k;
+        at..at + 2 * self.levels
+    }
+}
+
+/// Where one node sits in the index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Seat {
+    group: u32,
+    leaf: u32,
+    /// The node's slot: `parked as usize * levels + gpus_free`.
+    slot: u32,
 }
 
 impl FreeCapacity {
-    /// The index of `nodes` as they stand.
+    /// The index of `nodes` as they stand, every node awake.
     pub fn of(nodes: &[NodeView]) -> FreeCapacity {
         let mut index = FreeCapacity::default();
-        index.rebuild(nodes);
+        index.rebuild(nodes, |_| false);
         index
     }
 
+    /// The most cells an index of `nodes` nodes with at most `gpus` GPUs
+    /// and `cores` cores each can hold (`None`: more than `usize`).
+    pub fn max_cells(nodes: usize, gpus: usize, cores: usize) -> Option<usize> {
+        // A group of n nodes has fewer than 2n leaves, so its tree holds
+        // fewer than 4n nodes of 2 × (gpus + 1) slots each.
+        let levels = gpus.checked_add(1)?;
+        let trees = nodes.checked_mul(8)?.checked_mul(levels)?;
+        levels
+            .checked_mul(cores.checked_add(1)?)?
+            .checked_add(trees)
+    }
+
     /// Re-index `nodes` from scratch, reusing this index's buffers.
+    /// `parked(i)` tells whether the node at position `i` is parked.
     ///
-    /// Panics if the index size overflows `usize`; a simulator bounds
-    /// its nodes' GPU and core counts before building one.
-    pub fn rebuild(&mut self, nodes: &[NodeView]) {
+    /// Panics if the index size overflows `usize` or a node has 2^32 - 1
+    /// cores or more; a simulator bounds its nodes' GPU and core counts
+    /// before building one.
+    pub fn rebuild(&mut self, nodes: &[NodeView], parked: impl Fn(usize) -> bool) {
         let levels = nodes
             .iter()
             .map(|n| n.gpus_total.max(n.gpus_free).saturating_add(1))
@@ -172,6 +240,10 @@ impl FreeCapacity {
             .max()
             .unwrap_or(0);
         self.stride = cores.saturating_add(1);
+        assert!(
+            self.stride <= u32::MAX as usize,
+            "free-capacity index holds at most 2^32 - 2 cores per node"
+        );
         let cells = levels
             .checked_mul(self.stride)
             .expect("free-capacity index size overflows usize");
@@ -184,6 +256,70 @@ impl FreeCapacity {
         for n in nodes {
             self.insert(n.gpus_free, n.cores_free);
         }
+
+        // Speed groups: positions in (speed, id, position) order, cut
+        // wherever the speed changes. `ids` holds the positions until the
+        // leaves are filled.
+        self.ids.clear();
+        self.ids.extend(0..nodes.len());
+        self.ids.sort_unstable_by(|&a, &b| {
+            desc_speed_nan_last(nodes[a].speed, nodes[b].speed)
+                .then(nodes[a].id.cmp(&nodes[b].id))
+                .then(a.cmp(&b))
+        });
+        self.groups.clear();
+        self.seats.clear();
+        self.seats.resize(nodes.len(), Seat::default());
+        let mut size = 0usize;
+        let mut first = 0;
+        while first < nodes.len() {
+            let speed = nodes[self.ids[first]].speed;
+            let members = self.ids[first..]
+                .iter()
+                .take_while(|&&p| desc_speed_nan_last(nodes[p].speed, speed) == Ordering::Equal)
+                .count();
+            let group = SpeedGroup {
+                first,
+                width: members.next_power_of_two(),
+                levels: self.ids[first..first + members]
+                    .iter()
+                    .map(|&p| nodes[p].gpus_total.max(nodes[p].gpus_free) + 1)
+                    .max()
+                    .unwrap_or(1),
+                base: size,
+            };
+            for (leaf, &p) in self.ids[first..first + members].iter().enumerate() {
+                self.seats[p] = Seat {
+                    group: self.groups.len() as u32,
+                    leaf: leaf as u32,
+                    slot: (parked(p) as usize * group.levels + nodes[p].gpus_free) as u32,
+                };
+            }
+            size = (4 * group.width)
+                .checked_mul(group.levels)
+                .and_then(|s| s.checked_add(size))
+                .expect("free-capacity index size overflows usize");
+            self.groups.push(group);
+            first += members;
+        }
+        self.tree.clear();
+        self.tree.resize(size, 0);
+        for (p, seat) in self.seats.iter().enumerate() {
+            let g = self.groups[seat.group as usize];
+            let leaf = g.slots(g.width + seat.leaf as usize);
+            self.tree[leaf.start + seat.slot as usize] = nodes[p].cores_free as u32 + 1;
+        }
+        for g in &self.groups {
+            for k in (1..g.width).rev() {
+                for s in 0..2 * g.levels {
+                    let (l, r) = (g.slots(2 * k).start + s, g.slots(2 * k + 1).start + s);
+                    self.tree[g.slots(k).start + s] = self.tree[l].max(self.tree[r]);
+                }
+            }
+        }
+        for id in &mut self.ids {
+            *id = nodes[*id].id;
+        }
     }
 
     /// Can `job` start on some indexed node right now? Exactly
@@ -193,14 +329,106 @@ impl FreeCapacity {
         self.reach.get(job.gpus).is_some_and(|&r| r > job.cores)
     }
 
-    /// One node's free `(gpus, cores)` changed from `was` to `now`.
+    /// The id of the lowest-id node `job` fits on in the fastest speed
+    /// group that has one. Exactly
+    /// `nodes.iter().filter(|n| n.fits(job)).min_by(|a, b|
+    /// desc_speed_nan_last(a.speed, b.speed).then(a.id.cmp(&b.id)))`.
+    pub fn fastest_fit(&self, job: &JobInfo) -> Option<usize> {
+        self.groups.iter().find_map(|g| {
+            if job.gpus >= g.levels {
+                return None;
+            }
+            // Any slot of either tier at `job.gpus` free GPUs or more.
+            self.descend(g, |k| {
+                self.tree[g.slots(k)]
+                    .chunks_exact(g.levels)
+                    .any(|tier| tier[job.gpus..].iter().any(|&v| v as usize > job.cores))
+            })
+        })
+    }
+
+    /// The id of the node the simulator places `job` on when no policy
+    /// pins it: in the fastest speed group that has a fitting node, an
+    /// awake one before a parked one, then the fewest free GPUs, then the
+    /// lowest id. Exactly the minimum of
+    /// `(desc_speed_nan_last speed, parked, gpus_free, id)` over the
+    /// fitting nodes.
+    pub fn fastest_best_fit(&self, job: &JobInfo) -> Option<usize> {
+        self.groups.iter().find_map(|g| {
+            if job.gpus >= g.levels {
+                return None;
+            }
+            let root = &self.tree[g.slots(1)];
+            // Slots in (tier, level) order: the first that fits is the
+            // smallest (parked, gpus_free) in the group.
+            let slot = (0..2)
+                .flat_map(|tier| tier * g.levels + job.gpus..(tier + 1) * g.levels)
+                .find(|&s| root[s] as usize > job.cores)?;
+            self.descend(g, |k| {
+                self.tree[g.slots(k).start + slot] as usize > job.cores
+            })
+        })
+    }
+
+    /// The id at the leftmost leaf of `g` whose path satisfies `hit`
+    /// (asked of a tree node, true if some leaf below it qualifies).
     #[inline]
-    pub fn update(&mut self, was: (usize, usize), now: (usize, usize)) {
-        if was != now {
+    fn descend(&self, g: &SpeedGroup, hit: impl Fn(usize) -> bool) -> Option<usize> {
+        if !hit(1) {
+            return None;
+        }
+        let mut k = 1;
+        while k < g.width {
+            k = 2 * k + !hit(2 * k) as usize;
+        }
+        Some(self.ids[g.first + k - g.width])
+    }
+
+    /// The node at position `node` of the indexed bank now has
+    /// `gpus_free` GPUs and `cores_free` cores free and is `parked` or
+    /// awake. The counts stay within what the index was built for: at
+    /// most the node's indexed totals.
+    #[inline]
+    pub fn update(&mut self, node: usize, gpus_free: usize, cores_free: usize, parked: bool) {
+        let seat = self.seats[node];
+        let g = self.groups[seat.group as usize];
+        assert!(
+            gpus_free < g.levels && cores_free < self.stride,
+            "node {node} has {gpus_free} GPUs and {cores_free} cores free, past its index"
+        );
+        let leaf = g.slots(g.width + seat.leaf as usize).start;
+        let (was, now) = (seat.slot as usize, parked as usize * g.levels + gpus_free);
+        let was_cores = self.tree[leaf + was] as usize - 1;
+        if (was, was_cores) == (now, cores_free) {
+            return;
+        }
+        if (was % g.levels, was_cores) != (gpus_free, cores_free) {
             // Insert first: a node moving one level keeps the maxima below
             // it standing, so neither walk goes past the levels it left.
-            self.insert(now.0, now.1);
-            self.remove(was.0, was.1);
+            self.insert(gpus_free, cores_free);
+            self.remove(was % g.levels, was_cores);
+        }
+        self.seats[node].slot = now as u32;
+        self.tree[leaf + was] = 0;
+        self.tree[leaf + now] = cores_free as u32 + 1;
+        // Re-derive both slots up the path until neither moves.
+        let mut k = (g.width + seat.leaf as usize) / 2;
+        while k > 0 {
+            let (at, l, r) = (
+                g.slots(k).start,
+                g.slots(2 * k).start,
+                g.slots(2 * k + 1).start,
+            );
+            let mut moved = false;
+            for s in [was, now] {
+                let v = self.tree[l + s].max(self.tree[r + s]);
+                moved |= self.tree[at + s] != v;
+                self.tree[at + s] = v;
+            }
+            if !moved {
+                break;
+            }
+            k /= 2;
         }
     }
 
@@ -258,10 +486,11 @@ pub struct ClusterView<'a> {
     /// is one node).
     pub nodes: &'a [NodeView],
     /// The free-capacity index of `nodes`, which [`ClusterView::fits`]
-    /// answers from: a view that lists nodes carries
-    /// [`FreeCapacity::of`] them, or an index kept equal to it. A view
-    /// built by hand may leave `nodes` empty and this `None` to describe
-    /// an aggregated pool, which `fits` then checks against `free_gpus`.
+    /// and [`ClusterView::fastest_fit`] answer from: a view that lists
+    /// nodes carries an index of them, built by [`FreeCapacity::of`] or
+    /// kept current by [`FreeCapacity::update`]. A view built by hand may
+    /// leave `nodes` empty and this `None` to describe an aggregated
+    /// pool, which `fits` then checks against `free_gpus`.
     pub capacity: Option<&'a FreeCapacity>,
 }
 
@@ -279,6 +508,15 @@ impl ClusterView<'_> {
             Some(index) => index.fits(job),
             None => job.gpus <= self.free_gpus,
         }
+    }
+
+    /// The id of the lowest-id node `job` fits on in the fastest speed
+    /// group that has one: [`FreeCapacity::fastest_fit`], an O(log n)
+    /// descent of the index rather than a scan of the nodes. An
+    /// aggregated pool lists no nodes, so it has none.
+    #[inline]
+    pub fn fastest_fit(&self, job: &JobInfo) -> Option<usize> {
+        self.capacity?.fastest_fit(job)
     }
 }
 
@@ -508,8 +746,11 @@ impl SchedPolicy for GpuBinPack {
 /// SLA urgency (least slack first): launch the fitting job whose deadline
 /// slack (`deadline - now - duration`) is smallest; best-effort jobs
 /// (infinite deadline) queue FIFO behind every deadline job. Placement
-/// pins the fastest compatible node to protect the SLA — energy be
-/// damned, which is exactly the trade the policy shoot-out measures.
+/// pins the fastest compatible node, lowest id first, to protect the SLA
+/// — energy be damned, which is exactly the trade the policy shoot-out
+/// measures. The pin is [`ClusterView::fastest_fit`], answered by the
+/// free-capacity index without visiting the nodes; in a view without
+/// nodes it is `None`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlaUrgency;
 
@@ -527,13 +768,10 @@ impl SchedPolicy for SlaUrgency {
             // total_cmp: a NaN slack (corrupt duration/deadline) sorts
             // after +inf — behind every best-effort job.
             .min_by(|a, b| a.1.job.slack(view.now).total_cmp(&b.1.job.slack(view.now)))?;
-        let node = view
-            .nodes
-            .iter()
-            .filter(|n| n.fits(&q.job))
-            .min_by(|a, b| desc_speed_nan_last(a.speed, b.speed).then(a.id.cmp(&b.id)))
-            .map(|n| n.id);
-        Some(Decision { queue_idx: i, node })
+        Some(Decision {
+            queue_idx: i,
+            node: view.fastest_fit(&q.job),
+        })
     }
 }
 
@@ -757,71 +995,116 @@ mod tests {
     #[test]
     fn an_empty_bank_fits_nothing() {
         // Not even a job demanding nothing: there is no node to run it.
-        assert!(!FreeCapacity::of(&[]).fits(&job(0, 1.0, 0).job));
+        let empty = FreeCapacity::of(&[]);
+        let demand = job(0, 1.0, 0).job;
+        assert!(!empty.fits(&demand));
+        assert_eq!(empty.fastest_fit(&demand), None);
+        assert_eq!(empty.fastest_best_fit(&demand), None);
+    }
+
+    /// Speeds the proptest draws from: repeats across classes, a NaN, and
+    /// both zeros (which `desc_speed_nan_last` orders apart).
+    const SPEEDS: [f64; 6] = [1.0, 0.5, f64::NAN, 0.0, -0.0, 2.0];
+
+    /// Check `index` against node scans of `nodes` for every demand,
+    /// CPU-only jobs and jobs too big for every node included.
+    fn matches_the_node_scan(
+        index: &FreeCapacity,
+        nodes: &[NodeView],
+        parked: &[bool],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut rebuilt = FreeCapacity::default();
+        rebuilt.rebuild(nodes, |i| parked[i]);
+        proptest::prop_assert_eq!(index, &rebuilt);
+        let max_gpus = nodes.iter().map(|n| n.gpus_total).max().unwrap_or(0);
+        let max_cores = nodes.iter().map(|n| n.cores_total).max().unwrap_or(0);
+        let tier = |n: &NodeView| parked[nodes.iter().position(|m| m.id == n.id).expect("listed")];
+        for gpus in 0..=max_gpus + 1 {
+            for cores in 0..=max_cores + 1 {
+                let demand = JobInfo {
+                    gpus,
+                    cores,
+                    ..job(0, 1.0, 0).job
+                };
+                let fitting = || nodes.iter().filter(|n| n.fits(&demand));
+                let any = fitting().next().is_some();
+                // SLA-Urgency's pin, as it was written over the nodes.
+                let pin = fitting()
+                    .min_by(|a, b| desc_speed_nan_last(a.speed, b.speed).then(a.id.cmp(&b.id)))
+                    .map(|n| n.id);
+                // The simulator's fallback, as the reference loop writes it.
+                let fallback = fitting()
+                    .min_by(|a, b| {
+                        desc_speed_nan_last(a.speed, b.speed).then_with(|| {
+                            (tier(a), a.gpu_leftover(&demand), a.id).cmp(&(
+                                tier(b),
+                                b.gpu_leftover(&demand),
+                                b.id,
+                            ))
+                        })
+                    })
+                    .map(|n| n.id);
+                let ctx = format!("{gpus} GPUs, {cores} cores");
+                proptest::prop_assert_eq!(index.fits(&demand), any, "{}", ctx);
+                proptest::prop_assert_eq!(index.fastest_fit(&demand), pin, "{}", ctx);
+                proptest::prop_assert_eq!(index.fastest_best_fit(&demand), fallback, "{}", ctx);
+            }
+        }
+        Ok(())
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The incrementally patched index answers every demand exactly
-        /// like the node scan and equals one rebuilt from scratch, over
-        /// random heterogeneous banks and random place/finish deltas.
+        /// The incrementally patched index equals one rebuilt from the
+        /// nodes and their parked flags, and answers every demand exactly
+        /// like the node scans it replaces, over random heterogeneous
+        /// banks and random place, finish, park and wake deltas.
         #[test]
         fn patched_free_capacity_matches_the_node_scan(
-            shapes in proptest::prelude::prop::collection::vec((0usize..6, 0usize..12), 1..16),
+            shapes in proptest::prelude::prop::collection::vec(
+                (0usize..6, 0usize..12, 0usize..SPEEDS.len()),
+                1..16,
+            ),
+            reversed_ids in 0u8..2,
             deltas in proptest::prelude::prop::collection::vec(
-                (0usize..16, 0u8..2, 0usize..4, 0usize..8),
+                (0usize..16, 0u8..4, 0usize..4, 0usize..8),
                 0..60,
             ),
         ) {
+            let len = shapes.len();
             let mut nodes: Vec<NodeView> = shapes
                 .iter()
                 .enumerate()
-                .map(|(id, &(gpus, cores))| node(id, gpus, cores))
+                .map(|(i, &(gpus, cores, speed))| NodeView {
+                    speed: SPEEDS[speed],
+                    ..node(if reversed_ids == 1 { len - 1 - i } else { i }, gpus, cores)
+                })
                 .collect();
-            let max_gpus = shapes.iter().map(|s| s.0).max().unwrap_or(0);
-            let max_cores = shapes.iter().map(|s| s.1).max().unwrap_or(0);
+            let mut parked = vec![false; len];
             let mut index = FreeCapacity::of(&nodes);
-            for (k, place, gpus, cores) in deltas {
-                let n = &mut nodes[k % shapes.len()];
-                let was = (n.gpus_free, n.cores_free);
-                if place == 1 {
-                    if n.gpus_free < gpus || n.cores_free < cores {
-                        continue;
+            matches_the_node_scan(&index, &nodes, &parked)?;
+            for (k, op, gpus, cores) in deltas {
+                let i = k % len;
+                let n = &mut nodes[i];
+                match op {
+                    // Place.
+                    0 if n.gpus_free >= gpus && n.cores_free >= cores => {
+                        n.gpus_free -= gpus;
+                        n.cores_free -= cores;
                     }
-                    n.gpus_free -= gpus;
-                    n.cores_free -= cores;
-                } else {
-                    if n.gpus_free + gpus > n.gpus_total || n.cores_free + cores > n.cores_total {
-                        continue;
+                    // Finish.
+                    1 if n.gpus_free + gpus <= n.gpus_total && n.cores_free + cores <= n.cores_total => {
+                        n.gpus_free += gpus;
+                        n.cores_free += cores;
                     }
-                    n.gpus_free += gpus;
-                    n.cores_free += cores;
+                    // Park, wake.
+                    2 => parked[i] = true,
+                    3 => parked[i] = false,
+                    _ => continue,
                 }
-                index.update(was, (n.gpus_free, n.cores_free));
-                proptest::prop_assert_eq!(&index, &FreeCapacity::of(&nodes));
-                let view = ClusterView {
-                    now: 0.0,
-                    queue: &[],
-                    running: &[],
-                    free_gpus: nodes.iter().map(|n| n.gpus_free).sum(),
-                    total_gpus: nodes.iter().map(|n| n.gpus_total).sum(),
-                    nodes: &nodes,
-                    capacity: Some(&index),
-                };
-                // Every demand, CPU-only jobs and jobs too big for every
-                // node included.
-                for gpus in 0..=max_gpus + 1 {
-                    for cores in 0..=max_cores + 1 {
-                        let demand = JobInfo {
-                            gpus,
-                            cores,
-                            ..job(0, 1.0, 0).job
-                        };
-                        let scan = nodes.iter().any(|n| n.fits(&demand));
-                        proptest::prop_assert_eq!(view.fits(&demand), scan, "{} GPUs, {} cores", gpus, cores);
-                    }
-                }
+                index.update(i, n.gpus_free, n.cores_free, parked[i]);
+                matches_the_node_scan(&index, &nodes, &parked)?;
             }
         }
     }
