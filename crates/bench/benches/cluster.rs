@@ -144,42 +144,70 @@ fn million_job_probe(_c: &mut Criterion) {
     );
 }
 
+/// A multi-GPU flash crowd: one-, two- and four-GPU jobs arriving at 100
+/// jobs/s on an idle 1k-node fleet, far faster than it drains them. The
+/// queue runs deep behind wide heads that do not fit while narrower jobs
+/// behind them do, so EASY-Backfill works out its shadow on most selects
+/// (the steady stream's head almost never blocks).
+fn crowd_stream() -> Vec<ClusterJob> {
+    let mut cfg = StreamConfig::baseline(CROWD_JOBS, 10);
+    cfg.base_rate = 100.0;
+    cfg.mix = [0.5, 0.5, 0.0, 0.0]; // GPU bursts and 2-/4-GPU solves
+    job_stream(&cfg)
+}
+
+const CROWD_JOBS: usize = 5_000;
+
 /// The allocation audit: a warm serve must not touch the allocator in
 /// its steady state (noop recorder). Asserted, not just reported: the
 /// serving loop's "0 allocations per event" acceptance criterion. FCFS
 /// places through the simulator's fallback query, SLA-Urgency pins
 /// through `ClusterView::fastest_fit`, and EASY-Backfill works out its
 /// shadow: each path, and the free-capacity index they keep current,
-/// must stay off the allocator once the simulator is warm.
+/// must stay off the allocator once the simulator is warm. The steady
+/// stream covers the first two; the multi-GPU crowd is where EASY's head
+/// blocks and its shadow is worked out.
 fn allocation_audit(_c: &mut Criterion) {
     let fleet = fleet_scaled(1000);
-    let jobs = stream(100_000, 1000);
     let rec = Recorder::noop();
-    let mut sim = ClusterSim::new(&fleet);
-    for p in [&Fcfs as &dyn SchedPolicy, &SlaUrgency, &EasyBackfill] {
-        sim.run(&jobs, p, &rec); // warm: buffers grown, arena sized
+    let steady = stream(100_000, 1000);
+    let crowd = crowd_stream();
+    let audits: [(&str, &[ClusterJob], &[&dyn SchedPolicy]); 2] = [
+        ("steady", &steady, &[&Fcfs, &SlaUrgency, &EasyBackfill]),
+        ("crowd", &crowd, &[&Fcfs, &EasyBackfill]),
+    ];
+    for (name, jobs, policies) in audits {
+        let mut sim = ClusterSim::new(&fleet);
+        for &p in policies {
+            sim.run(jobs, p, &rec); // warm: buffers grown, arena sized
 
-        // Arrive + Finish per job, plus the initial park sweep and
-        // governor park checks — a conservative lower bound on events
-        // processed.
-        let events = (2 * jobs.len()) as f64;
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let m = sim.run(&jobs, p, &rec);
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-        assert_eq!(m.completed, jobs.len());
-        let per_event = allocs as f64 / events;
-        eprintln!(
-            "cluster/steady_state_allocs_{}: {allocs} allocations across {} events \
-             ({per_event:.4} allocs/event)",
-            policy_label(p),
-            events as u64
-        );
-        assert!(
-            per_event < 0.01,
-            "{}: steady-state serving loop must stay off the allocator: \
-             {allocs} allocs / {events} events = {per_event:.4}",
-            p.name()
-        );
+            // Arrive + Finish per job, plus the initial park sweep and
+            // governor park checks — a conservative lower bound on events
+            // processed.
+            let events = (2 * jobs.len()) as f64;
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let m = sim.run(jobs, p, &rec);
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(m.completed, jobs.len());
+            let per_event = allocs as f64 / events;
+            eprintln!(
+                "cluster/steady_state_allocs_{}{}: {allocs} allocations across {} events \
+                 ({per_event:.4} allocs/event)",
+                policy_label(p),
+                if name == "steady" {
+                    String::new()
+                } else {
+                    format!("_{name}")
+                },
+                events as u64
+            );
+            assert!(
+                per_event < 0.01,
+                "{} on the {name} stream: steady-state serving loop must stay off the \
+                 allocator: {allocs} allocs / {events} events = {per_event:.4}",
+                p.name()
+            );
+        }
     }
 }
 

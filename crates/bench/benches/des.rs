@@ -12,6 +12,12 @@
 //! `des.ns_per_event.jitter_r4096 <ns>` (one push plus one pop per
 //! event), and a counting global allocator asserts the warm rounds make
 //! 0 allocations per event.
+//!
+//! The fleet-shaped churn (`des/fleet_churn`) is the sparse timeline the
+//! cluster workloads drive: 1,500 pending events spread over half an hour
+//! of simulated time at the default 1 s width, each pop scheduling a
+//! replacement. Its probe prints `des.ns_per_event.churn <ns>` (one pop
+//! plus one push per event) and asserts 0 allocations per warm pass.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,9 +208,77 @@ fn bench_jitter_batch(c: &mut Criterion) {
     );
 }
 
+/// Pending events of the churn: about what a 1k-node fleet keeps
+/// scheduled (a finish per running job, park checks).
+const CHURN_PENDING: usize = 1500;
+/// Events per churn pass.
+const CHURN_EVENTS: usize = 100_000;
+
+/// Job runtimes, 5 s to half an hour (the fleet stream's classes), drawn
+/// by SplitMix64: the first `CHURN_PENDING` seed the queue, the rest are
+/// the replacements' delays.
+fn churn_durations() -> Vec<f64> {
+    let mut state = 97u64;
+    (0..CHURN_PENDING + CHURN_EVENTS)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            5.0 + 1795.0 * ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        })
+        .collect()
+}
+
+/// One churn pass from a reset kernel: each event popped schedules a
+/// replacement. Returns events popped.
+fn churn(kernel: &mut EventKernel<u32>, durations: &[f64]) -> u64 {
+    kernel.reset();
+    for (i, d) in durations[..CHURN_PENDING].iter().enumerate() {
+        kernel.schedule(*d, i as u32);
+    }
+    for (i, d) in durations[CHURN_PENDING..].iter().enumerate() {
+        let (key, _) = kernel.pop().expect("the churn keeps events pending");
+        kernel.schedule(key.time + d, i as u32);
+    }
+    CHURN_EVENTS as u64
+}
+
+/// The fleet-shaped churn: the criterion cell, the greppable
+/// ns-per-event probe, and the allocation check.
+fn bench_fleet_churn(c: &mut Criterion) {
+    let durations = churn_durations();
+    let mut kernel: EventKernel<u32> = EventKernel::new();
+    for _ in 0..2 {
+        churn(&mut kernel, &durations); // size the ring and its buckets
+    }
+    c.bench_function("des/fleet_churn", |b| {
+        b.iter(|| churn(&mut kernel, &durations));
+    });
+
+    let passes = 5;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let start = Instant::now();
+    let mut events = 0u64;
+    for _ in 0..passes {
+        events += churn(&mut kernel, &durations);
+    }
+    let wall = start.elapsed().as_secs_f64();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    eprintln!(
+        "des.ns_per_event.churn {:.1}  ({events} events in {wall:.3} s)",
+        wall * 1e9 / events as f64
+    );
+    eprintln!("des/churn_steady_state_allocs: {allocs} allocations across {events} events");
+    assert_eq!(
+        allocs, 0,
+        "warm churn passes must stay off the allocator: {allocs} allocs / {events} events"
+    );
+}
+
 criterion_group! {
     name = benches;
     config = configure();
-    targets = bench_rank_sweep, bench_ranks_per_s, bench_jitter_batch
+    targets = bench_rank_sweep, bench_ranks_per_s, bench_jitter_batch, bench_fleet_churn
 }
 criterion_main!(benches);

@@ -34,7 +34,7 @@
 //!   for policies that do not pin ([`FreeCapacity::fastest_best_fit`]:
 //!   fastest speed group, awake before parked, fewest free GPUs, lowest
 //!   id);
-//! * reusable scratch buffers (event batch, waits, the event arena), so
+//! * reusable scratch buffers (event batch, waits, the event calendar), so
 //!   the steady-state loop allocates nothing per event.
 //!
 //! Placement rescales the job's reference duration by the node's relative
@@ -779,7 +779,7 @@ mod tests {
 
     #[test]
     fn reused_simulator_replays_bitwise() {
-        // A warm ClusterSim (buffers grown, event arena warm) must be
+        // A warm ClusterSim (buffers grown, event calendar warm) must be
         // indistinguishable from a fresh one — the reuse contract the
         // 0-alloc bench leans on.
         let cfg = ClusterConfig::default_fleet();

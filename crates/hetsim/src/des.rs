@@ -10,11 +10,12 @@
 //!   `seq`. NaN times are normalised to *positive* NaN on push, so a
 //!   corrupt timestamp deterministically sorts **last** (after `+inf`)
 //!   instead of poisoning the order or panicking a comparator.
-//! * [`EventQueue`] — a radix-bucketed calendar queue over arena-allocated
-//!   event records: the head bucket is kept sorted, so `peek`/`pop` read
-//!   its back in O(1); exact `(time, seq)` pop order (the conformance bar
-//!   for every golden document); and adaptive bucket narrowing when a
-//!   burst of events lands inside one epoch.
+//! * [`EventQueue`] — a ring calendar of epoch buckets whose records carry
+//!   their payloads inline: an occupancy bitmap finds the next bucket, the
+//!   head bucket is kept sorted, so `peek`/`pop` read its back in O(1);
+//!   exact `(time, seq)` pop order (the conformance bar for every golden
+//!   document); and adaptive bucket narrowing when a burst of events lands
+//!   inside one epoch.
 //! * [`EventKernel`] — an [`EventQueue`] plus the monotone `now` clock the
 //!   simulators read; `pop` never moves `now` backwards.
 //! * [`TrackBank`] / [`TrackSet`] — dense structure-of-arrays busy-until
@@ -33,8 +34,7 @@
 //!   capacity, so measurement loops do not churn the allocator.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
 /// Order two floats *descending* with NaN sorted last.
@@ -90,90 +90,77 @@ impl Ord for EventKey {
 
 // -------------------------------------------------------------- EventQueue
 
-/// A bucket grown past this many records triggers a width-narrowing
-/// rebuild (when the times inside it actually span a nonzero interval).
-const MAX_BUCKET: usize = 64;
+/// A head that has taken this many binary insertions (and again at each
+/// doubling) tries a width-narrowing rebuild, when the times inside it
+/// actually differ: records landing mid-head cost a shift each.
+const MAX_INSERTS: usize = 64;
 
-/// Retired buckets up to this capacity go back to the spare pool; larger
-/// ones (a big simultaneous batch grew them) are freed. The pool hands
-/// buckets out in rotation, so without the bound every spare vector in
-/// turn would grow to the largest batch and stay there.
-const SPARE_CAPACITY: usize = 2 * MAX_BUCKET;
+/// Narrowing aims at this many distinct times per epoch, and a promoted
+/// bucket of twice as many narrows again, so buckets settle between the
+/// two and sorting one when it becomes the head costs a few compares per
+/// record.
+const TARGET_BUCKET: usize = 4;
 
-/// Fibonacci (multiplicative) hasher for the `i64` epoch keys: a single
-/// 64-bit multiply by the golden-ratio constant. Calendar epochs are
-/// small, near-sequential integers chosen by the queue itself, so
-/// SipHash's flooding resistance buys nothing here while costing a
-/// measurable slice of every push/peek at million-event scale.
-#[derive(Debug, Default, Clone)]
-pub struct EpochHasher(u64);
+/// Ring slots before the first growth: one word of the occupancy bitmap.
+const MIN_RING: usize = 64;
 
-impl std::hash::Hasher for EpochHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
+/// A drained ring bucket keeps its buffer up to this capacity; a larger
+/// one (a big simultaneous batch grew it) is freed. Buckets stay in their
+/// slots, so without the bound every slot a recurring batch visits would
+/// keep the batch's capacity.
+const KEPT_CAPACITY: usize = 128;
 
-    #[inline]
-    fn write_i64(&mut self, i: i64) {
-        self.0 = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
+/// One pending event: its key and its payload, stored together.
+type Record<E> = (EventKey, E);
 
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The multiply concentrates entropy in the high bits; the table
-        // indexes by the low bits, so rotate them into place.
-        self.0.rotate_left(32)
-    }
-}
-
-type EpochMap<V> = HashMap<i64, V, std::hash::BuildHasherDefault<EpochHasher>>;
-
-/// One calendar bucket: `(key, slot)` records of one epoch. A `Vec`,
-/// not the head's `VecDeque`, keeps the epoch map's entries small: at
-/// fleet scale the map holds thousands of epochs.
-type Bucket = Vec<(EventKey, u32)>;
-
-/// Radix-bucketed calendar queue with exact `(time, seq)` pop order.
+/// Ring calendar queue with exact `(time, seq)` pop order.
 ///
-/// Events live in an arena (`slots` + free list); the calendar buckets
-/// hold `(key, slot)` pairs radixed by `floor(time / width)`. The bucket
-/// of the earliest occupied epoch — the *head* — is held apart and kept
-/// sorted descending by [`EventKey`], so the minimum sits at its back and
-/// `peek`/`pop` are O(1). Later buckets are unsorted; a bucket is sorted
-/// once, when it becomes the head, and a push into the head is
-/// binary-inserted. A min-heap over the later epochs finds the next head
-/// even when the timeline is sparse, and an adaptive rebuild narrows
-/// `width` whenever a burst of distinct times piles into one epoch,
-/// keeping each sort short.
+/// Records hold their payloads inline and are radixed into epochs
+/// `floor(time / width)`. The bucket of the earliest epoch — the *head* —
+/// is held apart and kept sorted descending by [`EventKey`], so the
+/// minimum sits at its back and `peek`/`pop` are O(1). Later epochs inside
+/// a window `[base, base + ring.len())` live unsorted in a power-of-two
+/// ring of buckets, slot `epoch & (ring.len() - 1)`, and a `u64` bitmap
+/// over the slots finds the next occupied one with `trailing_zeros`.
+/// Epochs past the window wait, unsorted, in one overflow vector that is
+/// re-filed when the window drains; a window that must slide back past its
+/// latest buckets spills them there too. A bucket is sorted once, when it
+/// becomes the head; a push into the head is binary-inserted, which keeps
+/// the order exact, and a push before it sends it back to the ring. The
+/// ring grows toward the span of pending epochs, to at most one slot per
+/// pending event. An adaptive rebuild narrows `width` (never widens it)
+/// when a head takes many insertions mid-head, or when a promoted bucket
+/// holds many distinct times while the calendar is dense, keeping each
+/// sort short.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Arena of event payloads; `free` recycles slots so a steady-state
-    /// push/pop loop allocates nothing.
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
-    /// Records of epoch `head_epoch`, sorted descending by key. Empty
+    /// The records of epoch `head_epoch`, sorted descending by key. Empty
     /// exactly when the queue is.
-    head: VecDeque<(EventKey, u32)>,
+    head: VecDeque<Record<E>>,
     head_epoch: i64,
-    /// Calendar: every epoch after `head_epoch` -> unsorted records.
-    buckets: EpochMap<Bucket>,
-    /// Retired bucket vectors, capacity kept warm. An epoch emptying and
-    /// a later epoch opening is the *steady state* of a calendar queue —
-    /// without this pool every epoch transition paid a buffer free/alloc
-    /// pair, the last per-event allocation in the cluster serving loop.
-    /// Only buckets of at most `SPARE_CAPACITY` records are kept, so the
-    /// pool's memory stays bounded however often a large batch recurs.
-    spare: Vec<Bucket>,
-    /// Min-heap over the epochs of `buckets`, one entry per bucket: an
-    /// epoch is pushed when its bucket enters the calendar and popped
-    /// when that bucket becomes the head. The backing `Vec` keeps its
-    /// capacity, so the steady state allocates nothing.
-    epochs: BinaryHeap<Reverse<i64>>,
-    /// Seconds per calendar bucket.
+    /// Binary insertions into the head since it was formed.
+    head_inserts: usize,
+    /// Calendar ring: each occupied slot holds the records of one epoch of
+    /// the window, every one of them after `head_epoch`. Buckets keep
+    /// their buffers (up to `KEPT_CAPACITY`), so the steady state
+    /// allocates nothing.
+    ring: Vec<Vec<Record<E>>>,
+    /// One bit per ring slot, set exactly when the slot holds records.
+    occupied: Vec<u64>,
+    /// First epoch of the window.
+    base: i64,
+    /// Records in the ring, and an upper bound on their epochs (`i64::MIN`
+    /// while the ring is empty).
+    ring_count: usize,
+    top: i64,
+    /// Records of epochs at or past the window's end (even while the ring
+    /// is empty), unsorted, and their least epoch (`i128::MAX` when there
+    /// are none).
+    overflow: Vec<Record<E>>,
+    overflow_min: i128,
+    /// Seconds per epoch, and its reciprocal.
     width: f64,
+    inv_width: f64,
     len: usize,
     next_seq: u64,
 }
@@ -187,14 +174,18 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
             head: VecDeque::new(),
             head_epoch: 0,
-            buckets: EpochMap::default(),
-            spare: Vec::new(),
-            epochs: BinaryHeap::new(),
+            head_inserts: 0,
+            ring: Vec::new(),
+            occupied: Vec::new(),
+            base: 0,
+            ring_count: 0,
+            top: i64::MIN,
+            overflow: Vec::new(),
+            overflow_min: i128::MAX,
             width: 1.0,
+            inv_width: 1.0,
             len: 0,
             next_seq: 0,
         }
@@ -208,14 +199,22 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Epoch a time radixes into. NaN (and anything saturating the cast)
-    /// lands in a terminal epoch; the in-bucket key order restores the
-    /// exact order there.
+    /// Epoch a time radixes into: monotone in time. NaN (and anything
+    /// saturating the cast, ±∞ included) lands in a terminal epoch; the
+    /// in-bucket key order restores the exact order there.
     fn epoch_of(&self, time: f64) -> i64 {
         if time.is_nan() {
             i64::MAX
         } else {
-            (time / self.width).floor() as i64
+            // `floor` without the libm call: the saturating cast truncates,
+            // then a negative fraction steps down one.
+            let x = time * self.inv_width;
+            let t = x as i64;
+            if (t as f64) > x {
+                t.saturating_sub(1)
+            } else {
+                t
+            }
         }
     }
 
@@ -228,182 +227,445 @@ impl<E> EventQueue<E> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(ev);
-                i
-            }
-            None => {
-                self.slots.push(Some(ev));
-                (self.slots.len() - 1) as u32
-            }
-        };
         self.len += 1;
         let epoch = self.epoch_of(time);
-        if self.head.is_empty() {
+        if self.len == 1 {
             self.head_epoch = epoch;
+            self.head_inserts = 0;
+            self.head.push_back((key, ev));
+            return key;
         }
-        let n = match epoch.cmp(&self.head_epoch) {
-            Ordering::Equal => {
-                // `key` has the largest `seq` yet, so it lands before
-                // (pops after) every equal-time record — at the front
-                // outright for a simultaneous batch or a later time.
-                if self.head.front().is_none_or(|&(k, _)| key > k) {
-                    self.head.push_front((key, slot));
-                } else {
-                    let at = self.head.partition_point(|&(k, _)| k > key);
-                    self.head.insert(at, (key, slot));
-                }
-                self.head.len()
-            }
-            Ordering::Less => {
-                // A new earliest epoch: the old head, still sorted,
-                // rejoins the calendar.
-                let fresh = VecDeque::from(self.spare.pop().unwrap_or_default());
-                let old = std::mem::replace(&mut self.head, fresh);
-                self.epochs.push(Reverse(self.head_epoch));
-                self.buckets.insert(self.head_epoch, Vec::from(old));
-                self.head_epoch = epoch;
-                self.head.push_back((key, slot));
-                1
-            }
-            Ordering::Greater => self.file(epoch, (key, slot)),
-        };
-        if n > MAX_BUCKET && n.is_power_of_two() {
-            self.maybe_narrow(epoch);
+        match epoch.cmp(&self.head_epoch) {
+            Ordering::Equal => self.insert_head((key, ev)),
+            Ordering::Greater => self.file(epoch, (key, ev)),
+            Ordering::Less => self.push_past(epoch, (key, ev)),
         }
         key
     }
 
-    /// Append a record to the calendar bucket of `epoch` (after the
-    /// head), opening it if needed; returns the bucket's length.
-    fn file(&mut self, epoch: i64, rec: (EventKey, u32)) -> usize {
-        let bucket = match self.buckets.entry(epoch) {
-            Entry::Occupied(o) => o.into_mut(),
-            Entry::Vacant(v) => {
-                self.epochs.push(Reverse(epoch));
-                v.insert(self.spare.pop().unwrap_or_default())
-            }
-        };
-        bucket.push(rec);
-        bucket.len()
+    /// Binary-insert a record into the sorted head. It has the largest
+    /// `seq` yet, so it lands before (pops after) every equal-time record
+    /// — at the front outright for a simultaneous batch or a later time.
+    /// Many insertions mid-head split it: to one distinct time per epoch
+    /// when it holds few (each batch then lands at its own head's front),
+    /// to `TARGET_BUCKET` when it holds many.
+    fn insert_head(&mut self, rec: Record<E>) {
+        if self.head.front().is_none_or(|(k, _)| rec.0 > *k) {
+            return self.head.push_front(rec);
+        }
+        let at = self.head.partition_point(|(k, _)| *k > rec.0);
+        self.head.insert(at, rec);
+        self.head_inserts += 1;
+        if self.head_inserts >= MAX_INSERTS && self.head_inserts.is_power_of_two() {
+            let (distinct, span) = spread(&self.head);
+            let per_epoch = if distinct >= 2 * TARGET_BUCKET {
+                TARGET_BUCKET
+            } else {
+                1
+            };
+            self.narrow(distinct, span, per_epoch);
+        }
     }
 
-    /// Make the earliest calendar bucket the head, sorting it once, or
-    /// a spare one when the calendar is empty. The head must be empty.
-    fn promote(&mut self) {
-        debug_assert!(self.head.is_empty());
-        let next = match self.epochs.pop() {
-            Some(Reverse(epoch)) => {
-                let mut bucket = self
-                    .buckets
-                    .remove(&epoch)
-                    .expect("one heap entry per bucket");
-                // Keys are unique (`seq`): the unstable sort is exact.
-                bucket.sort_unstable_by_key(|&(key, _)| Reverse(key));
-                self.head_epoch = epoch;
-                bucket
-            }
-            None => self.spare.pop().unwrap_or_default(),
-        };
-        let emptied = std::mem::replace(&mut self.head, VecDeque::from(next));
-        retire(&mut self.spare, Vec::from(emptied));
-    }
-
-    /// Narrow `width` so the overfull bucket's time span spreads over
-    /// ~8 epochs, then rebuild the calendar. A span of zero (all records
-    /// simultaneous) cannot be split; the batch then pops from the
-    /// sorted head in O(1) each anyway.
-    fn maybe_narrow(&mut self, epoch: i64) {
-        let width = if epoch == self.head_epoch {
-            finite_span(&self.head) / 8.0
+    /// File a record of an epoch after the head's: into its ring bucket,
+    /// moving or growing the window to reach it, or into the overflow when
+    /// it lies past what the window can reach.
+    fn file(&mut self, epoch: i64, rec: Record<E>) {
+        if let Some(slot) = self.slot_for(epoch) {
+            self.put(slot, epoch, rec);
         } else {
-            finite_span(&self.buckets[&epoch]) / 8.0
+            self.overflow_min = self.overflow_min.min(i128::from(epoch));
+            self.overflow.push(rec);
+        }
+    }
+
+    /// A record earlier than the head's epoch: the head rejoins the ring,
+    /// still sorted, and the record opens a new head.
+    fn push_past(&mut self, epoch: i64, rec: Record<E>) {
+        let old = self.head_epoch;
+        let slot = self
+            .slot_for(old)
+            .expect("the window can always move back to the head's epoch");
+        // Back to front: the bucket holds its records in ascending order,
+        // which the sort on promotion finishes in one linear pass.
+        self.ring[slot].extend(self.head.drain(..).rev());
+        self.ring_count += self.ring[slot].len();
+        self.top = self.top.max(old);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        self.head_epoch = epoch;
+        self.head_inserts = 0;
+        self.head.push_back(rec);
+    }
+
+    /// Append a record to the ring bucket `slot` of `epoch`.
+    fn put(&mut self, slot: usize, epoch: i64, rec: Record<E>) {
+        self.ring[slot].push(rec);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        self.ring_count += 1;
+        self.top = self.top.max(epoch);
+    }
+
+    /// The ring slot of `epoch`: sliding the window, else growing the
+    /// ring, else (for an epoch below the window) sliding back anyway and
+    /// spilling the buckets that leave the window to the overflow. `None`
+    /// when `epoch` lies past what the window can reach.
+    fn slot_for(&mut self, epoch: i64) -> Option<usize> {
+        self.admit(epoch, false)
+            .or_else(|| {
+                self.grow_for(epoch)
+                    .then(|| self.admit(epoch, false))
+                    .flatten()
+            })
+            .or_else(|| self.admit(epoch, true))
+    }
+
+    /// The ring slot of `epoch`, sliding the window to reach it when that
+    /// keeps every ring record inside (or, with `spill`, moves the ones
+    /// that leave it to the overflow) and every overflow record outside;
+    /// `None` when the window cannot reach it.
+    fn admit(&mut self, epoch: i64, spill: bool) -> Option<usize> {
+        if self.ring.is_empty() {
+            self.ring.resize_with(MIN_RING, Vec::new);
+            self.occupied.resize(MIN_RING / 64, 0);
+        }
+        let n = self.ring.len() as i128;
+        let (e, base) = (i128::from(epoch), i128::from(self.base));
+        if e < base || e >= base + n {
+            let base = if self.ring_count == 0 {
+                // Nothing pins the window: centre it on `epoch`, short of
+                // the overflow.
+                (e - n / 2)
+                    .min(self.overflow_min - n)
+                    .max(i128::from(i64::MIN))
+            } else if e < base {
+                // Back, while the ring's latest epoch still fits.
+                if i128::from(self.top) >= e + n {
+                    if !spill {
+                        return None;
+                    }
+                    // `e + n` is at most `top`, an `i64`.
+                    self.spill_from((e + n) as i64);
+                }
+                e
+            } else {
+                // Forward, while ring records (all after the head) stay
+                // inside and overflow records outside.
+                let base = e - n + 1;
+                if base > i128::from(self.head_epoch) + 1 || e >= self.overflow_min {
+                    return None;
+                }
+                base
+            };
+            if e < base || e >= base + n {
+                return None;
+            }
+            self.base = base as i64;
+        }
+        Some(epoch as usize & (self.ring.len() - 1))
+    }
+
+    /// Move every ring bucket of epoch `from` or later to the overflow.
+    fn spill_from(&mut self, from: i64) {
+        let n = self.ring.len();
+        let mut offset = (i128::from(from) - i128::from(self.base)).max(0) as usize;
+        while offset < n {
+            let Some(at) = self.next_occupied(offset) else {
+                break;
+            };
+            let epoch = self.base.wrapping_add(at as i64);
+            let slot = epoch as usize & (n - 1);
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            let bucket = &mut self.ring[slot];
+            self.ring_count -= bucket.len();
+            self.overflow.append(bucket);
+            if bucket.capacity() > KEPT_CAPACITY {
+                *bucket = Vec::new();
+            }
+            self.overflow_min = self.overflow_min.min(i128::from(epoch));
+            offset = at + 1;
+        }
+        self.top = if self.ring_count == 0 {
+            i64::MIN
+        } else {
+            from - 1
         };
+    }
+
+    /// The most ring slots the pending count allows: memory stays
+    /// O(pending events).
+    fn ring_cap(&self) -> usize {
+        self.len.next_power_of_two().max(MIN_RING)
+    }
+
+    /// Lengthen the ring so one window holds `epoch` beside every ring
+    /// record (and below every overflow record), if the pending count
+    /// allows a ring that long. Returns whether it grew.
+    fn grow_for(&mut self, epoch: i64) -> bool {
+        let cap = self.ring_cap();
+        if self.ring.len() >= cap {
+            return false;
+        }
+        let e = i128::from(epoch);
+        let (lo, hi) = if self.ring_count == 0 {
+            (e, e)
+        } else {
+            let ring_lo = (i128::from(self.head_epoch) + 1).max(i128::from(self.base));
+            (e.min(ring_lo), e.max(i128::from(self.top)))
+        };
+        let lo = lo.min(self.overflow_min);
+        if hi - lo >= cap as i128 {
+            return false;
+        }
+        let len = ((hi - lo + 1) as usize)
+            .next_power_of_two()
+            .max(2 * self.ring.len());
+        self.resize_ring(len, lo as i64);
+        true
+    }
+
+    /// Lengthen the ring to `len` slots with its window starting at
+    /// `base`, which must hold every ring record. Each occupied bucket
+    /// moves whole to its new slot; then the overflow records the longer
+    /// window reaches join the ring.
+    fn resize_ring(&mut self, len: usize, base: i64) {
+        let old = self.ring.len();
+        self.ring.resize_with(len, Vec::new);
+        self.occupied.resize(len / 64, 0);
+        for w in 0..old / 64 {
+            let mut bits = self.occupied[w];
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let offset = slot.wrapping_sub(self.base as usize) & (old - 1);
+                let epoch = self.base.wrapping_add(offset as i64);
+                let to = epoch as usize & (len - 1);
+                if to != slot {
+                    // `to` is past the old ring, in a fresh empty slot.
+                    self.ring.swap(slot, to);
+                    self.occupied[w] &= !(1 << (slot % 64));
+                    self.occupied[to / 64] |= 1 << (to % 64);
+                }
+            }
+        }
+        self.base = base;
+        self.pull_overflow();
+    }
+
+    /// File every overflow record the window now reaches into the ring.
+    /// The window must start at or before the overflow's least epoch.
+    fn pull_overflow(&mut self) {
+        let end = i128::from(self.base) + self.ring.len() as i128;
+        if self.overflow_min >= end {
+            return;
+        }
+        let mut least = i128::MAX;
+        let mut i = 0;
+        while i < self.overflow.len() {
+            let epoch = self.epoch_of(self.overflow[i].0.time);
+            if i128::from(epoch) < end {
+                let rec = self.overflow.swap_remove(i);
+                self.put(epoch as usize & (self.ring.len() - 1), epoch, rec);
+            } else {
+                least = least.min(i128::from(epoch));
+                i += 1;
+            }
+        }
+        self.overflow_min = least;
+    }
+
+    /// The window drained (ring and head empty): restart it at the
+    /// overflow's earliest epoch, lengthening the ring toward the
+    /// overflow's span as far as the pending count allows.
+    fn refile(&mut self) {
+        debug_assert!(self.head.is_empty() && self.ring_count == 0);
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for (key, _) in &self.overflow {
+            let epoch = self.epoch_of(key.time);
+            lo = lo.min(epoch);
+            hi = hi.max(epoch);
+        }
+        let span = (i128::from(hi) - i128::from(lo) + 1).min(self.ring_cap() as i128);
+        let len = (span as usize)
+            .next_power_of_two()
+            .max(self.ring.len())
+            .max(MIN_RING);
+        // Exact even when a narrowing just moved every epoch.
+        self.overflow_min = i128::from(lo);
+        self.resize_ring(len, lo);
+    }
+
+    /// Make the earliest ring bucket the head, sorting it once; re-file
+    /// the overflow first when the window has drained. The head must be
+    /// empty and the queue not.
+    fn promote(&mut self) {
+        debug_assert!(self.head.is_empty() && self.len > 0);
+        let from = if self.ring_count == 0 {
+            self.refile();
+            0
+        } else {
+            // Every ring record lies after the head's epoch.
+            let from = i128::from(self.head_epoch) + 1 - i128::from(self.base);
+            from.max(0) as usize
+        };
+        let offset = self
+            .next_occupied(from)
+            .expect("the ring holds the next epoch");
+        let epoch = self.base.wrapping_add(offset as i64);
+        let slot = epoch as usize & (self.ring.len() - 1);
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        let bucket = &mut self.ring[slot];
+        self.ring_count -= bucket.len();
+        self.head.clear();
+        self.head.extend(bucket.drain(..).rev());
+        if bucket.capacity() > KEPT_CAPACITY {
+            *bucket = Vec::new();
+        }
+        self.head_epoch = epoch;
+        self.head_inserts = 0;
+        if self.ring_count == 0 {
+            self.top = i64::MIN;
+        }
+        // Keys are unique (`seq`): the unstable sort is exact.
+        self.head
+            .make_contiguous()
+            .sort_unstable_by_key(|&(key, _)| Reverse(key));
+        // A whole bucket of many distinct times narrows toward the target
+        // (this is where a width set mid-burst gets corrected), while the
+        // calendar as a whole is that dense: in a sparse timeline a lone
+        // crowded epoch sorts cheaper than every other epoch splits.
+        if self.head.len() >= 2 * TARGET_BUCKET && self.dense() {
+            let (distinct, span) = spread(&self.head);
+            self.narrow(distinct, span, TARGET_BUCKET);
+        }
+    }
+
+    /// Whether records fill at least half the epochs from the head to the
+    /// ring's latest (a bound, so this errs toward sparse).
+    fn dense(&self) -> bool {
+        let buckets: u32 = self.occupied.iter().map(|w| w.count_ones()).sum();
+        2 * i128::from(buckets) >= i128::from(self.top) - i128::from(self.head_epoch)
+    }
+
+    /// Window offset of the earliest occupied slot at offset `from` or
+    /// later. The window starts at slot `base & mask` and wraps once.
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let n = self.ring.len();
+        debug_assert!(from < n, "ring records lie inside the window");
+        let start = self.base as usize & (n - 1);
+        let slot = (start + from) & (n - 1);
+        let found = if slot >= start {
+            self.scan(slot, n).or_else(|| self.scan(0, start))
+        } else {
+            self.scan(slot, start)
+        };
+        found.map(|s| s.wrapping_sub(start) & (n - 1))
+    }
+
+    /// Lowest set bit of the occupancy bitmap in slots `[lo, hi)`.
+    fn scan(&self, lo: usize, hi: usize) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        let mut w = lo / 64;
+        let mut word = self.occupied[w] & (!0u64 << (lo % 64));
+        loop {
+            if word != 0 {
+                let slot = w * 64 + word.trailing_zeros() as usize;
+                return (slot < hi).then_some(slot);
+            }
+            w += 1;
+            if w * 64 >= hi {
+                return None;
+            }
+            word = self.occupied[w];
+        }
+    }
+
+    /// Given a bucket's distinct finite times and their span, narrow
+    /// `width` so those times spread at about `per_epoch` per epoch, then
+    /// re-file every record. Fewer than twice `per_epoch` distinct times
+    /// leave the width alone: a simultaneous batch cannot be split (it
+    /// pops from the sorted head in O(1) each anyway), and a few
+    /// stragglers beside one must not shrink the width by its size.
+    fn narrow(&mut self, distinct: usize, span: f64, per_epoch: usize) {
+        let width = span * per_epoch as f64 / distinct as f64;
         // Only ever narrow: a saturated terminal epoch can span more.
-        if !(width > f64::MIN_POSITIVE && width < self.width) {
+        if distinct < 2 * per_epoch || !(width > f64::MIN_POSITIVE && width < self.width) {
             return;
         }
         self.width = width;
-        let mut head = std::mem::take(&mut self.head);
-        let calendar = std::mem::take(&mut self.buckets);
-        self.epochs.clear();
-        // The head re-files back to front, in ascending key order: the
-        // order appends make, which the sort on promotion takes in O(n).
-        while let Some((key, slot)) = head.pop_back() {
-            self.file(self.epoch_of(key.time), (key, slot));
-        }
-        retire(&mut self.spare, Vec::from(head));
-        for (_, mut bucket) in calendar {
-            for (key, slot) in bucket.drain(..) {
-                self.file(self.epoch_of(key.time), (key, slot));
-            }
-            retire(&mut self.spare, bucket);
-        }
+        self.inv_width = width.recip();
+        self.overflow.extend(self.head.drain(..));
+        self.drain_ring(|overflow, bucket| overflow.append(bucket));
         self.promote();
+    }
+
+    /// Empty every ring bucket through `take`, freeing the buffers a large
+    /// batch grew; the ring is empty afterwards.
+    fn drain_ring(&mut self, mut take: impl FnMut(&mut Vec<Record<E>>, &mut Vec<Record<E>>)) {
+        for w in 0..self.occupied.len() {
+            let mut bits = std::mem::take(&mut self.occupied[w]);
+            while bits != 0 {
+                let bucket = &mut self.ring[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                take(&mut self.overflow, bucket);
+                debug_assert!(bucket.is_empty());
+                if bucket.capacity() > KEPT_CAPACITY {
+                    *bucket = Vec::new();
+                }
+            }
+        }
+        self.ring_count = 0;
+        self.top = i64::MIN;
     }
 
     /// The earliest pending event, without removing it.
     pub fn peek(&self) -> Option<(EventKey, &E)> {
-        let &(key, slot) = self.head.back()?;
-        Some((key, self.slots[slot as usize].as_ref().expect("live slot")))
+        self.head.back().map(|(key, ev)| (*key, ev))
     }
 
     /// Key of the earliest pending event.
     pub fn peek_key(&self) -> Option<EventKey> {
-        self.head.back().map(|&(k, _)| k)
+        self.head.back().map(|&(key, _)| key)
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(EventKey, E)> {
-        let (key, slot) = self.head.pop_back()?;
-        if self.head.is_empty() {
+        let rec = self.head.pop_back()?;
+        self.len -= 1;
+        if self.head.is_empty() && self.len > 0 {
             self.promote();
         }
-        let ev = self.slots[slot as usize].take().expect("live slot");
-        self.free.push(slot);
-        self.len -= 1;
-        Some((key, ev))
+        Some(rec)
     }
 
-    /// Drop every pending event, keeping arena and bucket capacity (and
-    /// the monotone `seq` counter — keys stay unique across a reset).
+    /// Drop every pending event, keeping ring and bucket capacity (and the
+    /// monotone `seq` counter — keys stay unique across a reset).
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.free.clear();
-        self.free.extend(0..self.slots.len() as u32);
         self.head.clear();
-        for (_, mut b) in self.buckets.drain() {
-            b.clear();
-            retire(&mut self.spare, b);
-        }
-        self.epochs.clear();
+        self.drain_ring(|_, bucket| bucket.clear());
+        self.overflow.clear();
+        self.overflow_min = i128::MAX;
         self.len = 0;
-        self.promote(); // swaps in a spare, retiring the head's buffer
     }
 }
 
-/// Spread of the finite times among `records` (negative when none).
-fn finite_span<'a>(records: impl IntoIterator<Item = &'a (EventKey, u32)>) -> f64 {
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for (k, _) in records {
-        if k.time.is_finite() {
-            lo = lo.min(k.time);
-            hi = hi.max(k.time);
+/// The distinct finite times among key-sorted `records` (ascending or
+/// descending), and their span.
+fn spread<'a, E: 'a>(records: impl IntoIterator<Item = &'a Record<E>>) -> (usize, f64) {
+    let (mut distinct, mut first, mut last) = (0, 0.0, 0.0);
+    for (key, _) in records {
+        if key.time.is_finite() {
+            if distinct == 0 || key.time != last {
+                distinct += 1;
+            }
+            if distinct == 1 {
+                first = key.time;
+            }
+            last = key.time;
         }
     }
-    hi - lo
-}
-
-/// Return an emptied bucket to the spare pool, unless a large batch grew
-/// it past `SPARE_CAPACITY`.
-fn retire(spare: &mut Vec<Bucket>, bucket: Bucket) {
-    debug_assert!(bucket.is_empty());
-    if bucket.capacity() <= SPARE_CAPACITY {
-        spare.push(bucket);
-    }
+    (distinct, (last - first).abs())
 }
 
 // ------------------------------------------------------------- EventKernel
@@ -704,26 +966,38 @@ mod tests {
     }
 
     #[test]
-    fn arena_recycles_slots() {
+    fn payloads_are_released_on_pop_and_clear() {
+        // Records own their payloads: popping hands one out, `clear` drops
+        // the rest, wherever they sit (head, ring or overflow).
+        let payload = std::rc::Rc::new(());
         let mut q = EventQueue::new();
-        for round in 0..10 {
-            for i in 0..100 {
-                q.push(i as f64, (round, i));
+        for round in 0..4 {
+            for i in 0..200 {
+                q.push(f64::from(i % 50) * 10.0, payload.clone());
             }
-            while q.pop().is_some() {}
+            q.push(f64::NAN, payload.clone());
+            q.push(1e300, payload.clone());
+            if round % 2 == 0 {
+                while q.pop().is_some() {}
+            } else {
+                for _ in 0..100 {
+                    q.pop();
+                }
+                q.clear();
+            }
+            assert_eq!(std::rc::Rc::strong_count(&payload), 1, "round {round}");
         }
-        assert!(q.slots.len() <= 100, "arena stayed at peak occupancy");
     }
 
     #[test]
-    fn spare_pool_stays_bounded_across_large_batches() {
+    fn ring_capacity_stays_bounded_across_large_batches() {
         // Each round opens a spread of small epochs plus one simultaneous
-        // batch far larger than `SPARE_CAPACITY`, then empties the queue
-        // (by popping, or by `clear`). The pool hands buckets out in
-        // rotation, so a pool keeping every retired bucket would let the
-        // batch grow a different spare vector each round.
+        // batch far larger than `KEPT_CAPACITY`, then empties the queue
+        // (by popping, or by `clear`). Buckets keep their buffers in their
+        // slots, so without the bound every slot the batch visits would
+        // keep the batch's capacity.
         let mut q = EventQueue::new();
-        let retained = |q: &EventQueue<u32>| q.spare.iter().map(Bucket::capacity).sum::<usize>();
+        let retained = |q: &EventQueue<u32>| q.ring.iter().map(Vec::capacity).sum::<usize>();
         let mut after_first = None;
         for round in 0..40u32 {
             for i in 0..300 {
@@ -737,12 +1011,12 @@ mod tests {
             } else {
                 q.clear();
             }
-            assert!(q.spare.iter().all(|b| b.capacity() <= SPARE_CAPACITY));
+            assert!(q.ring.iter().all(|b| b.capacity() <= KEPT_CAPACITY));
             let now = retained(&q);
             let first = *after_first.get_or_insert(now);
             assert!(
                 now <= first,
-                "round {round}: spare pool retains {now} records, {first} after round 0"
+                "round {round}: the ring retains {now} records, {first} after round 0"
             );
         }
     }

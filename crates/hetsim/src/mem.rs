@@ -42,6 +42,7 @@
 //! `2 · migration_time(link, W)` — the cliff the `um-oversubscription`
 //! experiment reproduces and checks.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -155,6 +156,8 @@ pub struct MemTracker {
     caps: HashMap<Loc, f64>,
     in_use: HashMap<Loc, f64>,
     high_water: HashMap<Loc, f64>,
+    /// Every location with a capacity or a use entry, in label order.
+    locs: Vec<Loc>,
     regions: HashMap<u64, Region>,
     tick: u64,
     next_id: u64,
@@ -175,26 +178,23 @@ impl MemTracker {
     /// `GpuSpec::mem_capacity_gib`, NVMe from `NodeConfig::nvme` (zero
     /// when absent), and zero for the NIC (it has no allocatable memory).
     pub fn for_machine(m: &Machine, policy: OomPolicy) -> MemTracker {
-        let mut caps = HashMap::new();
-        caps.insert(Loc::Host, m.node.cpu.mem_capacity_gib * GIB);
+        let mut t =
+            MemTracker::new(policy).with_capacity(Loc::Host, m.node.cpu.mem_capacity_gib * GIB);
         for (i, g) in m.node.gpus.iter().enumerate() {
-            caps.insert(Loc::Gpu(i), g.mem_capacity_gib * GIB);
+            t = t.with_capacity(Loc::Gpu(i), g.mem_capacity_gib * GIB);
         }
-        caps.insert(
+        t.with_capacity(
             Loc::Nvme,
             m.node.nvme.map(|(cap_gib, _)| cap_gib * GIB).unwrap_or(0.0),
-        );
-        caps.insert(Loc::Nic, 0.0);
-        MemTracker {
-            policy,
-            caps,
-            ..MemTracker::default()
-        }
+        )
+        .with_capacity(Loc::Nic, 0.0)
     }
 
     /// Builder: bound `loc` at `bytes` capacity.
     pub fn with_capacity(mut self, loc: Loc, bytes: f64) -> MemTracker {
-        self.caps.insert(loc, bytes);
+        if self.caps.insert(loc, bytes).is_none() {
+            note_loc(&mut self.locs, loc);
+        }
         self
     }
 
@@ -247,18 +247,10 @@ impl MemTracker {
         self.regions.get(&id.0).map(|r| r.spill)
     }
 
-    /// Every location with a configured capacity or live bytes (for gauge
-    /// publication).
-    pub fn locs(&self) -> Vec<Loc> {
-        let mut v: Vec<Loc> = self
-            .caps
-            .keys()
-            .chain(self.in_use.keys())
-            .copied()
-            .collect();
-        v.sort_unstable_by_key(Loc::label_key);
-        v.dedup();
-        v
+    /// Every location with a configured capacity or a use entry, in label
+    /// order (for gauge publication).
+    pub fn locs(&self) -> &[Loc] {
+        &self.locs
     }
 
     /// Where pressure at `loc` may spill under the current policy, if
@@ -291,15 +283,28 @@ impl MemTracker {
     }
 
     fn add_use(&mut self, loc: Loc, bytes: f64) {
-        let u = self.in_use.entry(loc).or_insert(0.0);
+        let u = self.use_entry(loc);
         *u += bytes;
+        let u = *u;
         let hw = self.high_water.entry(loc).or_insert(0.0);
-        *hw = hw.max(*u);
+        *hw = hw.max(u);
     }
 
     fn sub_use(&mut self, loc: Loc, bytes: f64) {
-        let u = self.in_use.entry(loc).or_insert(0.0);
+        let u = self.use_entry(loc);
         *u = (*u - bytes).max(0.0);
+    }
+
+    /// `loc`'s in-use bytes, opening the entry (and noting the location)
+    /// on first use.
+    fn use_entry(&mut self, loc: Loc) -> &mut f64 {
+        match self.in_use.entry(loc) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                note_loc(&mut self.locs, loc);
+                e.insert(0.0)
+            }
+        }
     }
 
     fn insert(&mut self, region: Region) -> MemId {
@@ -487,6 +492,13 @@ impl MemTracker {
 /// Round `bytes` up to a whole number of 64 KiB UM pages.
 fn page_ceil(bytes: f64) -> f64 {
     (bytes / PAGE_BYTES).ceil() * PAGE_BYTES
+}
+
+/// Add a location to the label-ordered `locs`, unless it is there.
+fn note_loc(locs: &mut Vec<Loc>, loc: Loc) {
+    if let Err(at) = locs.binary_search_by(|l| l.label_key().cmp(&loc.label_key())) {
+        locs.insert(at, loc);
+    }
 }
 
 #[cfg(test)]

@@ -271,6 +271,9 @@ pub struct Sim {
     /// `mem.<loc>.bytes` / `mem.<loc>.high_water` gauge names, interned
     /// per location on first publication to the attached recorder.
     mem_syms: Vec<(Loc, Sym, Sym)>,
+    /// `xfer <src>-><dst> (<bytes> B)` span names, keyed by route and the
+    /// bytes' bits, formatted and interned once per attached recorder.
+    xfer_syms: HashMap<(Loc, Loc, u64), Sym>,
     /// Interned track labels (`gpu0.s0`, `gpu0.h2d`, …), cached so a
     /// launch/transfer does not re-format the label `String` per span.
     stream_track_syms: HashMap<StreamId, Sym>,
@@ -293,6 +296,7 @@ impl Sim {
             tracks: TrackSet::new(),
             hot_syms: HotSyms::for_recorder(&recorder),
             mem_syms: Vec::new(),
+            xfer_syms: HashMap::new(),
             stream_track_syms: HashMap::new(),
             engine_track_syms: HashMap::new(),
             recorder,
@@ -329,6 +333,7 @@ impl Sim {
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.hot_syms = HotSyms::for_recorder(&recorder);
         self.mem_syms.clear();
+        self.xfer_syms.clear();
         self.stream_track_syms.clear();
         self.engine_track_syms.clear();
         self.recorder = recorder;
@@ -656,13 +661,13 @@ impl Sim {
             _ => "bytes_other",
         };
         let track = self.engine_track_sym(engine);
-        self.recorder.record_span(
-            format!("xfer {src:?}->{dst:?} ({bytes:.0} B)"),
-            SpanKind::Transfer,
-            track,
-            start,
-            done,
-        );
+        let recorder = &self.recorder;
+        let name = *self
+            .xfer_syms
+            .entry((src, dst, bytes.to_bits()))
+            .or_insert_with(|| recorder.intern(&format!("xfer {src:?}->{dst:?} ({bytes:.0} B)")));
+        self.recorder
+            .record_span(name, SpanKind::Transfer, track, start, done);
         self.recorder.incr(self.hot_syms.transfers, 1.0);
         self.recorder.incr(metric, bytes);
     }
@@ -821,7 +826,8 @@ impl Sim {
         if !self.recorder.is_enabled() {
             return;
         }
-        for loc in self.mem.locs() {
+        for i in 0..self.mem.locs().len() {
+            let loc = self.mem.locs()[i];
             let (bytes, high_water) = self.mem_gauge_syms(loc);
             self.recorder.gauge(bytes, self.mem.in_use(loc));
             self.recorder.gauge(high_water, self.mem.high_water(loc));

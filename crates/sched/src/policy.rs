@@ -12,6 +12,7 @@
 //! calls [`SchedPolicy::on_select`] with the still-intact queue so ageing
 //! policies can update bypass counts before the entry is removed.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
 use crate::workload::Job;
@@ -684,21 +685,38 @@ impl SchedPolicy for EasyBackfill {
     }
 }
 
+thread_local! {
+    /// [`head_shadow`]'s `(finish, running index, gpus)` scratch, kept
+    /// across calls so a warm serve works out shadows without allocating.
+    static SHADOW_SCRATCH: RefCell<Vec<(f64, usize, usize)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// EASY's shadow time: when will a head job needing `head_need` GPUs be
 /// able to start, and how many GPUs are spare once it does? Computed over
 /// aggregate GPU counts (in cluster mode this is the usual conservative
-/// approximation).
+/// approximation). Running jobs release their GPUs in finish order, ties
+/// in running-set order.
 fn head_shadow(view: &ClusterView, head_need: usize) -> (f64, usize) {
-    let mut finishes: Vec<(f64, usize)> = view.running.iter().map(|r| (r.finish, r.gpus)).collect();
-    finishes.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut avail = view.free_gpus;
-    for &(f, g) in &finishes {
-        avail += g;
-        if avail >= head_need {
-            return (f, avail - head_need);
+    SHADOW_SCRATCH.with_borrow_mut(|finishes| {
+        finishes.clear();
+        finishes.extend(
+            view.running
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r.finish, i, r.gpus)),
+        );
+        // The index breaks ties, so the unstable sort (which needs no
+        // buffer) yields the stable order.
+        finishes.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut avail = view.free_gpus;
+        for &(f, _, g) in finishes.iter() {
+            avail += g;
+            if avail >= head_need {
+                return (f, avail - head_need);
+            }
         }
-    }
-    (f64::INFINITY, 0)
+        (f64::INFINITY, 0)
+    })
 }
 
 /// GPU-aware bin packing: launch the *widest* fitting job first (ties:

@@ -182,6 +182,123 @@ proptest! {
     }
 }
 
+/// Pushes `t` on both the queue and the model.
+fn push_both(q: &mut EventQueue<u32>, model: &mut SortedModel, payload: &mut u32, t: f64) {
+    let key = q.push(t, *payload);
+    model.push(key, *payload);
+    *payload += 1;
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The ring calendar's window moves under every kind of push: near
+    /// the clock; far past the window (into the overflow) in ladders of
+    /// records 64 s apart, so records a window length apart meet when the
+    /// overflow is re-filed and pushes slide the window up to overflow
+    /// epochs; below a window that can only slide back by spilling its
+    /// latest buckets to the overflow; bursts of distinct times that
+    /// narrow the width while the overflow holds records; NaN, ±∞ and
+    /// ±1e300. Pops come one at a time, in long runs that advance the
+    /// window through the overflow, and from a handler that schedules
+    /// follow-ups near and far, with `clear` in between. Every pop must
+    /// match the sorted reference model.
+    #[test]
+    fn ring_window_overflow_and_narrowing_match_the_sorted_model(
+        raw_ops in prop::collection::vec((0u8..16, 0u32..1000), 1..300),
+    ) {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut model = SortedModel::default();
+        let mut payload = 0u32;
+        let mut now = 0.0f64;
+        for (sel, knob) in raw_ops {
+            let k = f64::from(knob);
+            let pops = match sel {
+                0..=3 => {
+                    // A few events within the next 16 s: enough pending
+                    // to grow the ring past its first 64 slots.
+                    for i in 0..1 + knob % 4 {
+                        let t = now + k * 0.01 + f64::from(i) * 1.5;
+                        push_both(&mut q, &mut model, &mut payload, t);
+                    }
+                    0
+                }
+                4 | 5 => {
+                    // A ladder of rungs exactly 64 s apart, the first one
+                    // (at the default width) just past a 64-slot window.
+                    for rung in 1..=1 + knob % 8 {
+                        let t = now + 64.0 * f64::from(rung);
+                        push_both(&mut q, &mut model, &mut payload, t);
+                    }
+                    0
+                }
+                6 => {
+                    push_both(&mut q, &mut model, &mut payload, now - 1.0 - k);
+                    0
+                }
+                7 if knob < 100 => {
+                    // More distinct times inside 1 µs than a head takes.
+                    let n = 65 + knob;
+                    for i in 0..n {
+                        let t = now + k * 1e-3 + 1e-6 * f64::from(i) / f64::from(n);
+                        push_both(&mut q, &mut model, &mut payload, t);
+                    }
+                    0
+                }
+                7 => {
+                    push_both(&mut q, &mut model, &mut payload, now + 1e6 * k);
+                    0
+                }
+                8 => {
+                    let t = HOSTILE[knob as usize % HOSTILE.len()];
+                    push_both(&mut q, &mut model, &mut payload, t);
+                    0
+                }
+                9..=12 => 1 + knob % 40,
+                13 | 14 => 1 + knob,
+                _ if knob % 8 == 0 => {
+                    q.clear();
+                    model.0.clear();
+                    0
+                }
+                _ => {
+                    // An event handler: pop one, schedule a follow-up in
+                    // the next second and a ladder from the popped time.
+                    let got = q.pop();
+                    prop_assert_eq!(got, model.0.pop());
+                    if let Some((key, _)) = got {
+                        if key.time.is_finite() {
+                            now = key.time;
+                        }
+                    }
+                    push_both(&mut q, &mut model, &mut payload, now + 1.0 + k * 1e-3);
+                    for rung in 1..=1 + knob % 4 {
+                        let t = now + 64.0 * f64::from(rung);
+                        push_both(&mut q, &mut model, &mut payload, t);
+                    }
+                    0
+                }
+            };
+            for _ in 0..pops {
+                let got = q.pop();
+                prop_assert_eq!(got, model.0.pop());
+                if let Some((key, _)) = got {
+                    if key.time.is_finite() {
+                        now = key.time;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), model.0.len());
+            prop_assert_eq!(q.peek_key(), model.0.last().map(|&(k, _)| k));
+        }
+        // Drain: the window advances through whatever the overflow holds.
+        while let Some(got) = q.pop() {
+            prop_assert_eq!(Some(got), model.0.pop());
+        }
+        prop_assert!(model.0.is_empty(), "queue drained early");
+    }
+}
+
 // ---------------------------------------------------------------- conformance
 
 /// What the reference loop reports, plus every job's wait in launch

@@ -67,7 +67,7 @@ proptest! {
             let (a, f) = drive(&mut t, &[(op, mib, pick)], &mut live);
             alloc_total += a;
             freed_total += f;
-            for loc in t.locs() {
+            for &loc in t.locs() {
                 prop_assert!(
                     t.in_use(loc) <= t.capacity(loc) + EPS,
                     "{loc:?} over capacity: {} > {}",
@@ -99,7 +99,7 @@ proptest! {
         }
         prop_assert!((allocated - freed).abs() <= EPS, "alloc {allocated} != freed {freed}");
         prop_assert_eq!(t.live_regions(), 0);
-        for loc in t.locs() {
+        for &loc in t.locs() {
             prop_assert!(t.in_use(loc).abs() <= EPS, "{loc:?} left {} bytes", t.in_use(loc));
         }
     }
@@ -118,7 +118,7 @@ proptest! {
         };
         let mut t = tracker(policy);
         let mut live = Vec::new();
-        let locs = t.locs();
+        let locs = t.locs().to_vec();
         let mut last = vec![0.0f64; locs.len()];
         for &(op, mib, pick) in &ops {
             drive(&mut t, &[(op, mib, pick)], &mut live);
