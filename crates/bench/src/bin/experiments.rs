@@ -15,7 +15,7 @@
 //!   --json               print the structured JSON document instead of text
 //!   --timeline           print the ASCII span timeline to stderr
 //!   --bench-dir <dir>    also write BENCH_<id>.json into <dir>
-//!   --jobs <n>           run `all` on an n-worker work-stealing pool
+//!   --jobs <n>           run `all` on an n-worker thread pool
 //!                        (default: available parallelism). Output is
 //!                        emitted in paper order and is byte-identical to
 //!                        --jobs 1.
@@ -30,7 +30,7 @@
 //! `icoe-experiment-v1` document (tables + counters + gauges).
 //!
 //! `all` fans the independent experiments out over `icoe::par`'s
-//! work-stealing scoped-thread pool: each experiment runs on its own
+//! scoped-thread pool: each experiment runs on its own
 //! recorder, its stdout/stderr are buffered, and results are emitted
 //! strictly in registration (= paper) order — so parallelism is purely a
 //! wall-clock optimisation, never an output change. A panicking
@@ -126,8 +126,8 @@ fn main() {
     }
 }
 
-/// Run every experiment — serially for `--jobs 1`, on the work-stealing
-/// pool otherwise. Either way the emission order (and every byte of it)
+/// Run every experiment — serially for `--jobs 1`, on the thread pool
+/// otherwise. Either way the emission order (and every byte of it)
 /// is the registry's paper order.
 fn run_all(reg: &Registry, opts: &Opts) {
     if opts.jobs <= 1 {

@@ -26,10 +26,12 @@
 //! * cached `free_gpus` / capacity aggregates, updated by the same deltas
 //!   (debug builds periodically recount from scratch and assert equality);
 //! * a [`FreeCapacity`] index of the nodes' free counts and power
-//!   states, patched on every place, finish, park and wake. The
+//!   states: one segment tree per speed group, patched along one
+//!   leaf-to-root path on every place, finish, park and wake. The
 //!   `ClusterView::fits` every policy asks per queued job is one compare
-//!   against it, and both placement searches descend one speed group's
-//!   segment tree in O(log n) instead of visiting nodes: SLA-Urgency's
+//!   against the per-level maxima folded from the trees' roots, and both
+//!   placement searches descend one group's tree in O(log n) instead of
+//!   visiting nodes: SLA-Urgency's
 //!   pin ([`ClusterView::fastest_fit`]) and the simulator's own fallback
 //!   for policies that do not pin ([`FreeCapacity::fastest_best_fit`]:
 //!   fastest speed group, awake before parked, fewest free GPUs, lowest
@@ -136,9 +138,10 @@ struct NodeAux {
     running: u32,
 }
 
-/// Most cells the fleet's [`FreeCapacity`] index may hold, as bounded by
-/// [`FreeCapacity::max_cells`] from the fleet's node count and its most
-/// GPUs and cores per node (64 MiB of 4-byte cells at most).
+/// Most tree cells the fleet's [`FreeCapacity`] index may hold, as
+/// bounded by [`FreeCapacity::max_cells`] from the fleet's node count and
+/// its most GPUs per node (64 MiB of 4-byte cells at most). Core counts
+/// do not size the index; a node's cores need only fit a tree slot.
 const MAX_INDEX_CELLS: usize = 1 << 24;
 
 /// Sampling period (events) for the debug-build aggregate recount.
@@ -190,18 +193,24 @@ impl ClusterSim {
         let fleet = cfg.fleet.clone();
         let mut views: Vec<NodeView> = Vec::new();
         let mut aux: Vec<NodeAux> = Vec::new();
-        let (mut nodes, mut max_gpus, mut max_cores) = (0usize, 0usize, 0usize);
+        let (mut nodes, mut max_gpus) = (0usize, 0usize);
         for (ci, c) in fleet.iter().enumerate() {
             nodes = nodes.saturating_add(c.count);
             max_gpus = max_gpus.max(c.gpus_per_node);
-            max_cores = max_cores.max(c.cores_per_node);
             assert!(
-                FreeCapacity::max_cells(nodes, max_gpus, max_cores)
+                FreeCapacity::max_cells(nodes, max_gpus)
                     .is_some_and(|cells| cells <= MAX_INDEX_CELLS),
                 "class {} ({} GPUs, {} cores per node) grows the free-capacity index \
                  past {MAX_INDEX_CELLS} cells",
                 c.name,
                 c.gpus_per_node,
+                c.cores_per_node
+            );
+            assert!(
+                c.cores_per_node < u32::MAX as usize,
+                "class {} ({} cores per node) has more cores than a free-capacity \
+                 slot holds",
+                c.name,
                 c.cores_per_node
             );
             for _ in 0..c.count {
@@ -914,23 +923,47 @@ mod tests {
         assert!(tl.contains("cluster"), "timeline track present:\n{tl}");
     }
 
-    #[test]
-    #[should_panic(
-        expected = "class huge-smp (0 GPUs, 1073741824 cores per node) grows the free-capacity index"
-    )]
-    fn oversized_core_counts_are_rejected_up_front() {
-        // The free-capacity index is sized by the widest node: a fleet
-        // claiming a billion cores per node must not allocate gigabytes.
+    /// The default fleet plus one node of a CPU-only class with `cores`
+    /// cores.
+    fn fleet_with_smp(cores: usize) -> ClusterConfig {
         let mut fleet = super::super::machine::default_fleet();
         let mut huge = fleet[0].clone();
         huge.name = "huge-smp";
+        huge.count = 1;
         huge.gpus_per_node = 0;
-        huge.cores_per_node = 1 << 30;
+        huge.cores_per_node = cores;
         fleet.push(huge);
-        ClusterSim::new(&ClusterConfig {
+        ClusterConfig {
             fleet,
             park_after_s: None,
-        });
+        }
+    }
+
+    #[test]
+    fn a_billion_core_node_builds_and_serves() {
+        // Core counts do not size the free-capacity index, so a node
+        // claiming a billion cores costs what any node does.
+        let jobs = vec![ClusterJob {
+            id: 0,
+            class: super::super::stream::TaskClass::GpuSolve,
+            arrival: 0.0,
+            duration: 10.0,
+            gpus: 0,
+            cores: 1 << 29,
+            deadline: f64::INFINITY,
+        }];
+        let m = simulate_cluster(&fleet_with_smp(1 << 30), &jobs, &Fcfs, &Recorder::noop());
+        assert_eq!(m.completed, 1);
+        assert_eq!(m.max_wait, 0.0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "class huge-smp (4294967295 cores per node) has more cores than a \
+                    free-capacity slot holds"
+    )]
+    fn core_counts_past_a_slot_are_rejected_up_front() {
+        ClusterSim::new(&fleet_with_smp(u32::MAX as usize));
     }
 
     #[test]
@@ -940,7 +973,7 @@ mod tests {
     fn oversized_gpu_counts_are_rejected_up_front() {
         // Every speed group's tree keeps two slots per free-GPU level for
         // each of its nodes: a thousand nodes of 4,096 GPUs would take
-        // some 64 MiB of tree, though the histogram alone stays small.
+        // some 64 MiB of tree.
         let mut fleet = super::super::machine::default_fleet();
         let mut slab = fleet[0].clone();
         slab.name = "gpu-slab";

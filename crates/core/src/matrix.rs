@@ -1,7 +1,7 @@
 //! `icoe::matrix` — the multi-machine portability runner (ISSUE 9).
 //!
 //! Re-executes the experiment registry once per machine preset, on the
-//! [`crate::par`] work-stealing engine, and returns the outcomes as one
+//! [`crate::par`] engine, and returns the outcomes as one
 //! column per machine. Re-running a machine-blind experiment per column
 //! would re-derive the same bytes at full price, so columns after the
 //! baseline re-execute only experiments that declare
@@ -83,7 +83,7 @@ impl Matrix {
 
 impl Registry {
     /// Run the full registry across `machines` (the first is the
-    /// baseline, normally "sierra") on `jobs` work-stealing workers.
+    /// baseline, normally "sierra") on `jobs` workers.
     ///
     /// The baseline column re-executes everything; later columns
     /// re-execute only machine-sensitive experiments and mark the rest

@@ -1,4 +1,4 @@
-//! `icoe::par` — the work-stealing parallel experiment engine.
+//! `icoe::par` — the parallel experiment engine.
 //!
 //! The `experiments` harness regenerates ~21 independent paper artifacts;
 //! running them strictly one after another makes tier-1 wall-clock scale
@@ -9,14 +9,12 @@
 //! (and the conformance suite asserts exactly that, see
 //! `tests/tests/golden_determinism.rs` and `par_props.rs`).
 //!
-//! Scheduling is a classic work-stealing pool over scoped threads:
+//! Scheduling is a pool of scoped threads sharing one task cursor:
 //!
-//! * tasks (registry indices) are dealt round-robin into one deque per
-//!   worker;
-//! * a worker pops from the **front** of its own deque (cache-friendly
-//!   FIFO of its dealt share) and, when empty, steals from the **back**
-//!   of the most-loaded victim — so long-running experiments do not
-//!   serialise the tail of the schedule;
+//! * each idle worker takes the next task (registry index) from one
+//!   atomic counter, so every index is handed out exactly once and a
+//!   long-running experiment never holds up tasks queued behind it on
+//!   some other worker;
 //! * results land in a slot-per-task vector, preserving registration
 //!   order no matter which worker ran what.
 //!
@@ -24,73 +22,17 @@
 //! an [`ExpRun`] failure with its id, and every other experiment still
 //! completes — the engine never aborts the batch.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hetsim::obs::Recorder;
 
 use crate::exp::{ExpParams, Registry, Report};
 
-/// Tasks-to-workers deal with per-worker deques and back-stealing.
-///
-/// Indices `0..n` are dealt round-robin; [`StealQueue::pop`] serves a
-/// worker its own front first and steals from the most-loaded victim's
-/// back otherwise. Every index is handed out exactly once.
-pub struct StealQueue {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueue {
-    /// Deal `n` task indices round-robin across `workers` deques.
-    pub fn new(n: usize, workers: usize) -> StealQueue {
-        let workers = workers.max(1);
-        let mut deques: Vec<VecDeque<usize>> = (0..workers)
-            .map(|_| VecDeque::with_capacity(n / workers + 1))
-            .collect();
-        for i in 0..n {
-            deques[i % workers].push_back(i);
-        }
-        StealQueue {
-            deques: deques.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Next task for `worker`: own front, else steal the back of the
-    /// victim with the most remaining work. `None` = everything drained.
-    pub fn pop(&self, worker: usize) -> Option<usize> {
-        if let Some(i) = self.lock(worker).pop_front() {
-            return Some(i);
-        }
-        loop {
-            // Pick the most-loaded victim under a racy scan; re-check
-            // under its lock. Retry while any deque looks non-empty.
-            let victim = (0..self.deques.len())
-                .filter(|&w| w != worker)
-                .max_by_key(|&w| self.lock(w).len())?;
-            // NB: bind before matching — a guard in the match scrutinee
-            // would live through the arms and self-deadlock on re-lock.
-            let stolen = self.lock(victim).pop_back();
-            match stolen {
-                Some(i) => return Some(i),
-                None => {
-                    // The victim drained between scan and steal; if every
-                    // deque is now empty we are done.
-                    if (0..self.deques.len()).all(|w| self.lock(w).is_empty()) {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    fn lock(&self, w: usize) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-        self.deques[w].lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Run `f(0..n)` on a work-stealing pool of `jobs` scoped threads and
-/// return the results **in index order**. `jobs <= 1` (or `n <= 1`)
-/// degenerates to a plain serial loop — same results, same order.
+/// Run `f(0..n)` on a pool of `jobs` scoped threads, each taking the next
+/// index from one shared cursor, and return the results **in index
+/// order**. `jobs <= 1` (or `n <= 1`) degenerates to a plain serial loop
+/// — same results, same order.
 pub fn run_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -100,18 +42,21 @@ where
     if jobs <= 1 {
         return (0..n).map(f).collect();
     }
-    let queue = StealQueue::new(n, jobs);
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    let queue = &queue;
-    let slots = &slots;
+    let (f, next, slots) = (&f, &next, &slots);
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            scope.spawn(move || {
-                while let Some(i) = queue.pop(w) {
-                    let v = f(i);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(v);
+        for _ in 0..jobs {
+            scope.spawn(move || loop {
+                // Relaxed: the cursor publishes no data. Each index is
+                // handed out once by the read-modify-write, and results
+                // travel through the slots' mutexes and the scope's join.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let v = f(i);
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(v);
             });
         }
     });
@@ -121,7 +66,7 @@ where
             m.lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
-                .expect("every dealt task ran exactly once")
+                .expect("every index ran exactly once")
         })
         .collect()
 }
@@ -153,8 +98,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl Registry {
-    /// Run a subset of experiments concurrently on `jobs` work-stealing
-    /// workers, each under a root span `exp:<id>` on its **own** enabled
+    /// Run a subset of experiments concurrently on `jobs` workers, each under a root span `exp:<id>` on its **own** enabled
     /// [`Recorder`], and return the outcomes in `ids` order.
     ///
     /// Unknown ids and panicking experiments surface as `Err` outcomes;
@@ -219,7 +163,6 @@ mod tests {
     use super::*;
     use crate::exp::FnExperiment;
     use crate::report::Table;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn toy_registry(n: usize) -> Registry {
         // Leak the id strings: Experiment ids are &'static str by design.
@@ -241,41 +184,15 @@ mod tests {
     }
 
     #[test]
-    fn steal_queue_hands_out_every_index_exactly_once() {
-        for (n, workers) in [(0, 1), (1, 4), (7, 2), (21, 4), (100, 8)] {
-            let q = StealQueue::new(n, workers);
-            let seen = Mutex::new(vec![0usize; n]);
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let q = &q;
-                    let seen = &seen;
-                    s.spawn(move || {
-                        while let Some(i) = q.pop(w) {
-                            seen.lock().unwrap()[i] += 1;
-                        }
-                    });
-                }
-            });
-            let seen = seen.into_inner().unwrap();
+    fn run_indexed_hands_out_every_index_exactly_once() {
+        for (n, jobs) in [(0, 1), (1, 4), (7, 2), (21, 4), (100, 8)] {
+            let seen: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            run_indexed(n, jobs, |i| seen[i].fetch_add(1, Ordering::SeqCst));
             assert!(
-                seen.iter().all(|&c| c == 1),
-                "n={n} workers={workers}: counts {seen:?}"
+                seen.iter().all(|c| c.load(Ordering::SeqCst) == 1),
+                "n={n} jobs={jobs}: counts {seen:?}"
             );
         }
-    }
-
-    #[test]
-    fn idle_workers_steal_from_loaded_victims() {
-        // Worker 1 never pops its own share; worker 0 must drain
-        // everything (its own deque first, then steals).
-        let q = StealQueue::new(10, 2);
-        let mut got = Vec::new();
-        while let Some(i) = q.pop(0) {
-            got.push(i);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert_eq!(q.pop(1), None);
     }
 
     #[test]

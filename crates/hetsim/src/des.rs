@@ -18,11 +18,11 @@
 //!   inside one epoch.
 //! * [`EventKernel`] — an [`EventQueue`] plus the monotone `now` clock the
 //!   simulators read; `pop` never moves `now` backwards.
-//! * [`TrackBank`] / [`TrackSet`] — dense structure-of-arrays busy-until
-//!   clocks (`Vec<f64>` indexed by a `u32` [`TrackId`]), replacing the
-//!   per-call `HashMap<_, f64>` lookups with the PR-5 intern-once
-//!   discipline: resolve a key to a [`TrackId`] once, then every advance
-//!   is an array store.
+//! * [`TrackBank`] — dense structure-of-arrays busy-until clocks (a
+//!   `Vec<f64>` indexed by track number). A user keyed by resource
+//!   interns each key to a track number once (as [`crate::Sim`] does for
+//!   its streams and copy engines), so every later advance is an array
+//!   store.
 //!
 //! The clock contract (see DESIGN.md "One clock"):
 //!
@@ -34,8 +34,7 @@
 //!   capacity, so measurement loops do not churn the allocator.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::VecDeque;
 
 /// Order two floats *descending* with NaN sorted last.
 ///
@@ -810,96 +809,6 @@ impl TrackBank {
     }
 }
 
-// ----------------------------------------------------------------- TrackSet
-
-/// Handle to one registered track of a [`TrackSet`] (an index into its
-/// [`TrackBank`]): resolve a key once, then advance by array store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TrackId(pub u32);
-
-/// A [`TrackBank`] with a key index: the PR-5 intern-once discipline
-/// applied to clocks. `track(key)` interns the key into a dense
-/// [`TrackId`] on first sight; every later touch is a vector access, so
-/// hot paths pay no hashing after warm-up when they cache the id.
-#[derive(Debug, Clone, Default)]
-pub struct TrackSet<K> {
-    bank: TrackBank,
-    ids: HashMap<K, TrackId>,
-}
-
-impl<K: Eq + Hash + Clone> TrackSet<K> {
-    pub fn new() -> TrackSet<K> {
-        TrackSet {
-            bank: TrackBank::new(),
-            ids: HashMap::new(),
-        }
-    }
-
-    /// Intern `key`, registering a zeroed track on first sight.
-    pub fn track(&mut self, key: K) -> TrackId {
-        match self.ids.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = TrackId(self.bank.len() as u32);
-                self.bank.ensure(self.bank.len() + 1);
-                self.ids.insert(key, id);
-                id
-            }
-        }
-    }
-
-    /// The id `key` interned to, if it ever has.
-    pub fn get(&self, key: &K) -> Option<TrackId> {
-        self.ids.get(key).copied()
-    }
-
-    /// Busy-until time of `key`'s track (0.0 for an unregistered key).
-    pub fn time_of(&self, key: &K) -> f64 {
-        match self.ids.get(key) {
-            Some(&TrackId(i)) => self.bank.time(i as usize),
-            None => 0.0,
-        }
-    }
-
-    /// Busy-until time of a registered track.
-    pub fn time(&self, id: TrackId) -> f64 {
-        self.bank.time(id.0 as usize)
-    }
-
-    /// Set a registered track's busy-until time (absolute).
-    pub fn set(&mut self, id: TrackId, t: f64) {
-        self.bank.set(id.0 as usize, t);
-    }
-
-    /// Latest busy-until time across every registered track.
-    pub fn frontier(&self) -> f64 {
-        self.bank.frontier()
-    }
-
-    /// Join every registered track at `t`.
-    pub fn join_all(&mut self, t: f64) {
-        self.bank.join_all(t);
-    }
-
-    /// Zero every clock, keeping the interned ids (reset discipline: a
-    /// measurement loop re-running the same workload re-resolves nothing).
-    pub fn reset_times(&mut self) {
-        self.bank.reset_times();
-    }
-
-    pub fn len(&self) -> usize {
-        self.bank.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bank.is_empty()
-    }
-
-    pub fn bank(&self) -> &TrackBank {
-        &self.bank
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1070,24 +979,6 @@ mod tests {
         b.set(0, f64::NAN);
         b.set(1, 3.0);
         assert_eq!(b.frontier(), 3.0);
-    }
-
-    #[test]
-    fn track_set_interns_once() {
-        let mut s: TrackSet<&str> = TrackSet::new();
-        let a = s.track("gpu0.s0");
-        let a2 = s.track("gpu0.s0");
-        let b = s.track("gpu0.h2d");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(s.time_of(&"gpu0.s0"), 0.0);
-        s.set(a, 4.0);
-        assert_eq!(s.time_of(&"gpu0.s0"), 4.0);
-        assert_eq!(s.time_of(&"never"), 0.0);
-        assert_eq!(s.frontier(), 4.0);
-        s.reset_times();
-        assert_eq!(s.time(a), 0.0);
-        assert_eq!(s.get(&"gpu0.s0"), Some(a), "reset keeps interned ids");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod sim;
 pub mod spec;
 pub mod unified;
 
-pub use des::{desc_nan_last, EventKernel, EventKey, EventQueue, TrackBank, TrackId, TrackSet};
+pub use des::{desc_nan_last, EventKernel, EventKey, EventQueue, TrackBank};
 pub use kernel::{CostTerms, KernelProfile, LaunchClass, Precision};
 pub use mem::{MemId, MemTracker, Migration, OomError, OomPolicy};
 pub use network::{AllReduceAlgo, CollectiveKind, Network, StragglerSpec};

@@ -25,8 +25,9 @@
 //!   when present (an error when the machine has none — no phantom
 //!   routes).
 //!
-//! The tracker never advances clocks itself. Every mutating call returns
-//! the list of [`Migration`]s it implied; [`crate::Sim`] charges those to
+//! The tracker never advances clocks itself. Every mutating call appends
+//! the [`Migration`]s it implied to a caller's buffer; [`crate::Sim`]
+//! reuses one buffer and charges them to
 //! the copy engines (so spills contend with async copies and appear as
 //! `Transfer` spans on `gpu0.h2d` / `gpu0.d2h` timeline tracks) and
 //! publishes `mem.<loc>.bytes` / `mem.<loc>.high_water` gauges. Use
@@ -315,30 +316,31 @@ impl MemTracker {
     }
 
     /// Evict LRU resident pages from `loc` until `need` more bytes fit (or
-    /// until no victims remain, when `strict` is false). Page-granular:
-    /// eviction amounts round up to 64 KiB multiples, capped at each
-    /// victim's residency. Errors when the policy offers no spill target
-    /// (`strict`) or the spill target itself overflows.
+    /// until no victims remain, when `strict` is false), appending the
+    /// evictions to `moves`. Page-granular: eviction amounts round up to
+    /// 64 KiB multiples, capped at each victim's residency. Errors when the
+    /// policy offers no spill target (`strict`) or the spill target itself
+    /// overflows.
     fn make_room(
         &mut self,
         loc: Loc,
         need: f64,
         exclude: Option<MemId>,
         strict: bool,
-    ) -> Result<Vec<Migration>, OomError> {
+        moves: &mut Vec<Migration>,
+    ) -> Result<(), OomError> {
         let mut deficit = self.in_use(loc) + need - self.capacity(loc);
         if deficit <= EPS {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let Some(target) = self.spill_target(loc) else {
             return if strict {
                 Err(self.oom(loc, need))
             } else {
-                Ok(Vec::new())
+                Ok(())
             };
         };
         let kind = self.spill_kind();
-        let mut moves = Vec::new();
         while deficit > EPS {
             // LRU victim: the least recently touched region with resident
             // bytes at `loc` (never the region being faulted in).
@@ -352,7 +354,7 @@ impl MemTracker {
                 return if strict {
                     Err(self.oom(loc, need))
                 } else {
-                    Ok(moves)
+                    Ok(())
                 };
             };
             debug_assert_eq!(vspill, target, "victim spill target drifted from policy");
@@ -375,7 +377,7 @@ impl MemTracker {
             });
             deficit -= evict;
         }
-        Ok(moves)
+        Ok(())
     }
 
     /// Allocate `bytes` at `loc`. Under [`OomPolicy::Fail`] and
@@ -383,8 +385,13 @@ impl MemTracker {
     /// victims first under `NvmeSpill`); under [`OomPolicy::UnifiedSpill`]
     /// a GPU allocation is born host-resident (`cudaMallocManaged`
     /// first-touch) and pays nothing until touched. Returns the handle and
-    /// the migrations the decision implied.
-    pub fn alloc(&mut self, loc: Loc, bytes: f64) -> Result<(MemId, Vec<Migration>), OomError> {
+    /// appends the migrations the decision implied to `moves`.
+    pub fn alloc(
+        &mut self,
+        loc: Loc,
+        bytes: f64,
+        moves: &mut Vec<Migration>,
+    ) -> Result<MemId, OomError> {
         assert!(
             bytes >= 0.0 && bytes.is_finite(),
             "allocation size must be finite and non-negative, got {bytes}"
@@ -405,9 +412,9 @@ impl MemTracker {
                 resident: 0.0,
                 last_touch: tick,
             });
-            return Ok((id, Vec::new()));
+            return Ok(id);
         }
-        let moves = self.make_room(loc, bytes, None, true)?;
+        self.make_room(loc, bytes, None, true, moves)?;
         self.add_use(loc, bytes);
         let spill = self.spill_target(loc).unwrap_or(loc);
         let id = self.insert(Region {
@@ -417,20 +424,20 @@ impl MemTracker {
             resident: bytes,
             last_touch: tick,
         });
-        Ok((id, moves))
+        Ok(id)
     }
 
     /// Touch an allocation from its home location, faulting any spilled
     /// bytes back in (evicting LRU victims page-granularly to make room).
     /// If the region itself exceeds capacity, the overflow streams through
     /// the device and straight back out — self-thrash — and is charged
-    /// both ways. Returns the migrations to charge; an empty list means
-    /// the touch was resident and free (the SAMRAI lesson).
+    /// both ways. Appends the migrations to charge to `moves`; appending
+    /// none means the touch was resident and free (the SAMRAI lesson).
     ///
     /// # Panics
     ///
     /// Panics on a freed or unknown [`MemId`] (use-after-free).
-    pub fn touch(&mut self, id: MemId) -> Result<Vec<Migration>, OomError> {
+    pub fn touch(&mut self, id: MemId, moves: &mut Vec<Migration>) -> Result<(), OomError> {
         self.tick += 1;
         let tick = self.tick;
         let Some(r) = self.regions.get_mut(&id.0) else {
@@ -440,10 +447,10 @@ impl MemTracker {
         let (home, spill, bytes, resident) = (r.home, r.spill, r.bytes, r.resident);
         let missing = bytes - resident;
         if missing <= EPS {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let kind = self.spill_kind();
-        let mut moves = self.make_room(home, missing, Some(id), false)?;
+        self.make_room(home, missing, Some(id), false, moves)?;
         let room = (self.capacity(home) - self.in_use(home)).max(0.0);
         let bring_in = missing.min(room);
         // Every missing byte crosses the link (it was touched)...
@@ -468,7 +475,7 @@ impl MemTracker {
         if let Some(r) = self.regions.get_mut(&id.0) {
             r.resident = (resident + bring_in).min(bytes);
         }
-        Ok(moves)
+        Ok(())
     }
 
     /// Free a live allocation, releasing its bytes at both its home and
@@ -508,6 +515,22 @@ mod tests {
 
     const C: f64 = 16.0 * GIB;
 
+    /// [`MemTracker::alloc`] with its migrations in a fresh list.
+    fn alloc(
+        t: &mut MemTracker,
+        loc: Loc,
+        bytes: f64,
+    ) -> Result<(MemId, Vec<Migration>), OomError> {
+        let mut moves = Vec::new();
+        t.alloc(loc, bytes, &mut moves).map(|id| (id, moves))
+    }
+
+    /// [`MemTracker::touch`] with its migrations in a fresh list.
+    fn touch(t: &mut MemTracker, id: MemId) -> Result<Vec<Migration>, OomError> {
+        let mut moves = Vec::new();
+        t.touch(id, &mut moves).map(|()| moves)
+    }
+
     fn gpu_tracker(policy: OomPolicy) -> MemTracker {
         MemTracker::for_machine(&machines::sierra_node(), policy)
     }
@@ -527,9 +550,9 @@ mod tests {
     #[test]
     fn fail_policy_rejects_over_capacity_allocs() {
         let mut t = gpu_tracker(OomPolicy::Fail);
-        let (a, moves) = t.alloc(Loc::Gpu(0), 10.0 * GIB).unwrap();
+        let (a, moves) = alloc(&mut t, Loc::Gpu(0), 10.0 * GIB).unwrap();
         assert!(moves.is_empty());
-        let err = t.alloc(Loc::Gpu(0), 10.0 * GIB).unwrap_err();
+        let err = alloc(&mut t, Loc::Gpu(0), 10.0 * GIB).unwrap_err();
         assert_eq!(err.loc, Loc::Gpu(0));
         assert_eq!(err.requested, 10.0 * GIB);
         assert_eq!(err.in_use, 10.0 * GIB);
@@ -537,13 +560,13 @@ mod tests {
         assert!(err.to_string().contains("out of memory on gpu0"));
         // Freeing makes the same allocation fit again.
         assert_eq!(t.free(a), 10.0 * GIB);
-        assert!(t.alloc(Loc::Gpu(0), 10.0 * GIB).is_ok());
+        assert!(alloc(&mut t, Loc::Gpu(0), 10.0 * GIB).is_ok());
     }
 
     #[test]
     fn high_water_survives_frees() {
         let mut t = gpu_tracker(OomPolicy::Fail);
-        let (a, _) = t.alloc(Loc::Gpu(0), 12.0 * GIB).unwrap();
+        let (a, _) = alloc(&mut t, Loc::Gpu(0), 12.0 * GIB).unwrap();
         t.free(a);
         assert_eq!(t.in_use(Loc::Gpu(0)), 0.0);
         assert_eq!(t.high_water(Loc::Gpu(0)), 12.0 * GIB);
@@ -552,11 +575,11 @@ mod tests {
     #[test]
     fn unified_spill_allocs_are_born_on_host_and_fault_in() {
         let mut t = gpu_tracker(OomPolicy::UnifiedSpill);
-        let (a, moves) = t.alloc(Loc::Gpu(0), 4.0 * GIB).unwrap();
+        let (a, moves) = alloc(&mut t, Loc::Gpu(0), 4.0 * GIB).unwrap();
         assert!(moves.is_empty(), "managed alloc pays nothing up front");
         assert_eq!(t.in_use(Loc::Gpu(0)), 0.0);
         assert_eq!(t.in_use(Loc::Host), 4.0 * GIB);
-        let moves = t.touch(a).unwrap();
+        let moves = touch(&mut t, a).unwrap();
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].src, Loc::Host);
         assert_eq!(moves[0].dst, Loc::Gpu(0));
@@ -565,16 +588,16 @@ mod tests {
         assert_eq!(t.in_use(Loc::Gpu(0)), 4.0 * GIB);
         assert_eq!(t.in_use(Loc::Host), 0.0);
         // Resident touches are free (the SAMRAI lesson).
-        assert!(t.touch(a).unwrap().is_empty());
+        assert!(touch(&mut t, a).unwrap().is_empty());
     }
 
     #[test]
     fn unified_spill_evicts_lru_page_granularly() {
         let mut t = gpu_tracker(OomPolicy::UnifiedSpill);
-        let (a, _) = t.alloc(Loc::Gpu(0), 10.0 * GIB).unwrap();
-        let (b, _) = t.alloc(Loc::Gpu(0), 10.0 * GIB).unwrap();
-        t.touch(a).unwrap();
-        let moves = t.touch(b).unwrap();
+        let (a, _) = alloc(&mut t, Loc::Gpu(0), 10.0 * GIB).unwrap();
+        let (b, _) = alloc(&mut t, Loc::Gpu(0), 10.0 * GIB).unwrap();
+        touch(&mut t, a).unwrap();
+        let moves = touch(&mut t, b).unwrap();
         // Fitting b's 10 GiB into the 6 GiB left evicts 4 GiB of a (LRU).
         let evicted: f64 = moves
             .iter()
@@ -593,7 +616,7 @@ mod tests {
             "a resident {a_res}"
         );
         // Touching a again faults its evicted tail back and evicts from b.
-        let moves = t.touch(a).unwrap();
+        let moves = touch(&mut t, a).unwrap();
         assert!(!moves.is_empty());
         assert_eq!(t.resident_of(a), Some(10.0 * GIB));
         assert!(t.in_use(Loc::Gpu(0)) <= C + 1.0);
@@ -602,8 +625,8 @@ mod tests {
     #[test]
     fn region_larger_than_capacity_self_thrashes() {
         let mut t = gpu_tracker(OomPolicy::UnifiedSpill);
-        let (a, _) = t.alloc(Loc::Gpu(0), 24.0 * GIB).unwrap();
-        let moves = t.touch(a).unwrap();
+        let (a, _) = alloc(&mut t, Loc::Gpu(0), 24.0 * GIB).unwrap();
+        let moves = touch(&mut t, a).unwrap();
         // All 24 GiB cross the link; 8 GiB bounce straight back out.
         let inbound: f64 = moves
             .iter()
@@ -620,16 +643,16 @@ mod tests {
         assert_eq!(t.resident_of(a), Some(C));
         assert!(t.in_use(Loc::Gpu(0)) <= C + 1.0);
         // And it pays again every touch: the thrash cliff.
-        let again: f64 = t.touch(a).unwrap().iter().map(|m| m.bytes).sum();
+        let again: f64 = touch(&mut t, a).unwrap().iter().map(|m| m.bytes).sum();
         assert!(again > 0.0);
     }
 
     #[test]
     fn nvme_spill_stages_victims_to_nvme() {
         let mut t = gpu_tracker(OomPolicy::NvmeSpill);
-        let (_a, moves) = t.alloc(Loc::Gpu(0), 12.0 * GIB).unwrap();
+        let (_a, moves) = alloc(&mut t, Loc::Gpu(0), 12.0 * GIB).unwrap();
         assert!(moves.is_empty());
-        let (_b, moves) = t.alloc(Loc::Gpu(0), 12.0 * GIB).unwrap();
+        let (_b, moves) = alloc(&mut t, Loc::Gpu(0), 12.0 * GIB).unwrap();
         // 8 GiB of the LRU region staged out to NVMe, explicit memcpy.
         let staged: f64 = moves
             .iter()
@@ -645,8 +668,8 @@ mod tests {
     #[test]
     fn nvme_spill_without_nvme_is_an_error_not_a_phantom_route() {
         let mut t = MemTracker::for_machine(&machines::ea_minsky(), OomPolicy::NvmeSpill);
-        assert!(t.alloc(Loc::Gpu(0), 12.0 * GIB).is_ok());
-        let err = t.alloc(Loc::Gpu(0), 12.0 * GIB).unwrap_err();
+        assert!(alloc(&mut t, Loc::Gpu(0), 12.0 * GIB).is_ok());
+        let err = alloc(&mut t, Loc::Gpu(0), 12.0 * GIB).unwrap_err();
         assert_eq!(err.loc, Loc::Gpu(0));
         assert_eq!(err.policy, OomPolicy::NvmeSpill);
     }
@@ -654,7 +677,7 @@ mod tests {
     #[test]
     fn unbounded_tracker_accepts_anything() {
         let mut t = MemTracker::new(OomPolicy::Fail);
-        let (a, _) = t.alloc(Loc::Gpu(0), 1e18).unwrap();
+        let (a, _) = alloc(&mut t, Loc::Gpu(0), 1e18).unwrap();
         assert_eq!(t.in_use(Loc::Gpu(0)), 1e18);
         t.free(a);
         assert_eq!(t.in_use(Loc::Gpu(0)), 0.0);
@@ -664,7 +687,7 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut t = gpu_tracker(OomPolicy::Fail);
-        let (a, _) = t.alloc(Loc::Gpu(0), GIB).unwrap();
+        let (a, _) = alloc(&mut t, Loc::Gpu(0), GIB).unwrap();
         t.free(a);
         t.free(a);
     }
@@ -673,14 +696,14 @@ mod tests {
     #[should_panic(expected = "freed or unknown MemId")]
     fn touch_after_free_panics() {
         let mut t = gpu_tracker(OomPolicy::UnifiedSpill);
-        let (a, _) = t.alloc(Loc::Gpu(0), GIB).unwrap();
+        let (a, _) = alloc(&mut t, Loc::Gpu(0), GIB).unwrap();
         t.free(a);
-        let _ = t.touch(a);
+        let _ = touch(&mut t, a);
     }
 
     #[test]
     fn nic_has_no_allocatable_memory() {
         let mut t = gpu_tracker(OomPolicy::Fail);
-        assert!(t.alloc(Loc::Nic, 1.0).is_err());
+        assert!(alloc(&mut t, Loc::Nic, 1.0).is_err());
     }
 }

@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use crate::des::{TrackId, TrackSet};
+use crate::des::TrackBank;
 use crate::kernel::KernelProfile;
 use crate::mem::{MemId, MemTracker, Migration, OomError, OomPolicy};
 use crate::obs::{Recorder, SpanKind, Sym};
@@ -245,13 +245,23 @@ impl HotSyms {
 }
 
 /// One clock of the node: an execution stream or a copy engine. The key
-/// under which [`Sim`]'s busy-until times intern into the unified
-/// [`TrackSet`] (see [`crate::des`]) — streams and engines share one
-/// dense bank, so the wall clock is a single frontier fold.
+/// under which [`Sim`] interns a clock's slot in its [`TrackBank`] (see
+/// [`crate::des`]) — streams and engines share one dense bank, so the
+/// wall clock is a single frontier fold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum SimTrack {
     Stream(StreamId),
     Engine(Engine),
+}
+
+impl SimTrack {
+    /// Timeline track label, e.g. `gpu0.s1` or `gpu0.h2d`.
+    fn label(&self) -> String {
+        match self {
+            SimTrack::Stream(s) => s.label(),
+            SimTrack::Engine(e) => e.label(),
+        }
+    }
 }
 
 /// The per-node simulator.
@@ -259,10 +269,16 @@ enum SimTrack {
 pub struct Sim {
     machine: Machine,
     /// Busy-until clocks of every stream and copy engine, on the unified
-    /// event kernel's dense track storage. Times are **absolute**
-    /// simulated seconds (the `des` clock contract); copies sharing an
-    /// engine queue FIFO behind its track.
-    tracks: TrackSet<SimTrack>,
+    /// event kernel's dense track storage, one per slot. Times are
+    /// **absolute** simulated seconds (the `des` clock contract); copies
+    /// sharing an engine queue FIFO behind its track.
+    clocks: TrackBank,
+    /// Each clock's slot in `clocks` and `track_syms`, interned on first
+    /// touch and kept across [`Sim::reset`].
+    slots: HashMap<SimTrack, usize>,
+    /// Each slot's interned timeline label (`gpu0.s0`, `gpu0.h2d`, …),
+    /// formatted on the clock's first span under the attached recorder.
+    track_syms: Vec<Option<Sym>>,
     /// Observability sink; [`Recorder::noop`] by default, so the hot paths
     /// pay one branch when tracing is off.
     recorder: Recorder,
@@ -274,13 +290,13 @@ pub struct Sim {
     /// `xfer <src>-><dst> (<bytes> B)` span names, keyed by route and the
     /// bytes' bits, formatted and interned once per attached recorder.
     xfer_syms: HashMap<(Loc, Loc, u64), Sym>,
-    /// Interned track labels (`gpu0.s0`, `gpu0.h2d`, …), cached so a
-    /// launch/transfer does not re-format the label `String` per span.
-    stream_track_syms: HashMap<StreamId, Sym>,
-    engine_track_syms: HashMap<Engine, Sym>,
     /// Per-location memory-capacity accounting (capacities from the
     /// machine's specs; [`OomPolicy::Fail`] by default).
     mem: MemTracker,
+    /// The migrations of the last `alloc` or `touch_mem`
+    /// (`charge_planned`), reused so a warm migrating touch does
+    /// not allocate.
+    moves: Vec<Migration>,
     /// Distinct `(src, dst)` routes costed over the
     /// [`PHANTOM_NVME_BW_GBS`] stand-in because the machine has no NVMe.
     /// Interior-mutable: routes are noted from `&self` cost paths.
@@ -293,14 +309,15 @@ impl Sim {
         let recorder = Recorder::noop();
         Sim {
             machine,
-            tracks: TrackSet::new(),
+            clocks: TrackBank::new(),
+            slots: HashMap::new(),
+            track_syms: Vec::new(),
             hot_syms: HotSyms::for_recorder(&recorder),
             mem_syms: Vec::new(),
             xfer_syms: HashMap::new(),
-            stream_track_syms: HashMap::new(),
-            engine_track_syms: HashMap::new(),
             recorder,
             mem,
+            moves: Vec::new(),
             phantom_routes: RefCell::new(Vec::new()),
         }
     }
@@ -334,45 +351,33 @@ impl Sim {
         self.hot_syms = HotSyms::for_recorder(&recorder);
         self.mem_syms.clear();
         self.xfer_syms.clear();
-        self.stream_track_syms.clear();
-        self.engine_track_syms.clear();
+        self.track_syms.fill(None);
         self.recorder = recorder;
     }
 
-    /// Unified-kernel clock track for one (resolved) stream, interning it
-    /// on first sight (the `des` intern-once discipline).
-    fn stream_track(&mut self, stream: StreamId) -> TrackId {
-        self.tracks.track(SimTrack::Stream(stream))
-    }
-
-    /// Unified-kernel clock track for one copy engine.
-    fn engine_track(&mut self, engine: Engine) -> TrackId {
-        self.tracks.track(SimTrack::Engine(engine))
-    }
-
-    /// Interned track symbol for one stream, formatting the label only on
-    /// first sight.
-    fn stream_track_sym(&mut self, stream: StreamId) -> Sym {
-        match self.stream_track_syms.get(&stream) {
-            Some(&s) => s,
-            None => {
-                let s = self.recorder.intern(&stream.label());
-                self.stream_track_syms.insert(stream, s);
-                s
-            }
+    /// The slot of one (resolved) clock, interning it on first sight (the
+    /// `des` intern-once discipline).
+    fn slot(&mut self, track: SimTrack) -> usize {
+        let next = self.slots.len();
+        let slot = *self.slots.entry(track).or_insert(next);
+        if slot == next {
+            self.clocks.ensure(next + 1);
+            self.track_syms.push(None);
         }
+        slot
     }
 
-    /// Interned track symbol for one copy engine.
-    fn engine_track_sym(&mut self, engine: Engine) -> Sym {
-        match self.engine_track_syms.get(&engine) {
-            Some(&s) => s,
-            None => {
-                let s = self.recorder.intern(&engine.label());
-                self.engine_track_syms.insert(engine, s);
-                s
-            }
-        }
+    /// Busy-until time of one clock, 0.0 (and left unregistered) if it was
+    /// never touched.
+    fn time_of(&self, track: SimTrack) -> f64 {
+        self.slots.get(&track).map_or(0.0, |&i| self.clocks.time(i))
+    }
+
+    /// Interned timeline label of the clock `track` at `slot`, formatted
+    /// only on its first span under the attached recorder.
+    fn track_sym(&mut self, slot: usize, track: SimTrack) -> Sym {
+        let recorder = &self.recorder;
+        *self.track_syms[slot].get_or_insert_with(|| recorder.intern(&track.label()))
     }
 
     /// The attached recorder (a no-op handle unless one was set).
@@ -427,14 +432,15 @@ impl Sim {
     pub fn launch_on(&mut self, stream: impl Into<StreamId>, k: &KernelProfile) -> f64 {
         let stream = self.resolve_stream(stream.into());
         let dt = self.cost(stream.target, k);
-        let track = self.stream_track(stream);
-        let start = self.tracks.time(track);
-        self.tracks.set(track, start + dt);
+        let clock = SimTrack::Stream(stream);
+        let slot = self.slot(clock);
+        let start = self.clocks.time(slot);
+        self.clocks.set(slot, start + dt);
         if self.recorder.is_enabled() {
             // Hot path: interned track + metric symbols, and the kernel
             // name interned under the span's own lock — no label
             // formatting, no per-span `String` allocation.
-            let track = self.stream_track_sym(stream);
+            let track = self.track_sym(slot, clock);
             self.recorder
                 .record_span(k.name.as_str(), SpanKind::Kernel, track, start, start + dt);
             self.recorder.incr(self.hot_syms.launches, 1.0);
@@ -586,21 +592,19 @@ impl Sim {
     pub fn transfer(&mut self, src: Loc, dst: Loc, bytes: f64, kind: TransferKind) -> f64 {
         let dt = self.transfer_cost(src, dst, bytes, kind);
         let engine = Engine::for_route(src, dst);
-        let (a, b) = (self.loc_stream(src), self.loc_stream(dst));
+        let a = self.slot(SimTrack::Stream(self.loc_stream(src)));
+        let b = self.slot(SimTrack::Stream(self.loc_stream(dst)));
+        let e = self.slot(SimTrack::Engine(engine));
         let start = self
-            .stream_time(a)
-            .max(self.stream_time(b))
-            .max(self.engine_time(engine));
+            .clocks
+            .time(a)
+            .max(self.clocks.time(b))
+            .max(self.clocks.time(e));
         let done = start + dt;
-        let ta = self.stream_track(a);
-        self.tracks.set(ta, done);
-        if b != a {
-            let tb = self.stream_track(b);
-            self.tracks.set(tb, done);
+        for slot in [a, b, e] {
+            self.clocks.set(slot, done);
         }
-        let te = self.engine_track(engine);
-        self.tracks.set(te, done);
-        self.account_transfer(src, dst, bytes, engine, start, done);
+        self.account_transfer(src, dst, bytes, engine, e, start, done);
         dt
     }
 
@@ -628,25 +632,27 @@ impl Sim {
         let stream = self.resolve_stream(stream.into());
         let dt = self.transfer_cost(src, dst, bytes, kind);
         let engine = Engine::for_route(src, dst);
-        let start = self.stream_time(stream).max(self.engine_time(engine));
+        let s = self.slot(SimTrack::Stream(stream));
+        let e = self.slot(SimTrack::Engine(engine));
+        let start = self.clocks.time(s).max(self.clocks.time(e));
         let done = start + dt;
-        let ts = self.stream_track(stream);
-        self.tracks.set(ts, done);
-        let te = self.engine_track(engine);
-        self.tracks.set(te, done);
-        self.account_transfer(src, dst, bytes, engine, start, done);
+        self.clocks.set(s, done);
+        self.clocks.set(e, done);
+        self.account_transfer(src, dst, bytes, engine, e, start, done);
         Event { time: done }
     }
 
     /// Shared counter + span bookkeeping for both transfer shapes. Spans
-    /// land on the engine's track (`gpu0.h2d`, `gpu0.d2h`, `host.dma`), so
-    /// `--timeline` shows copies overlapping kernels on distinct rows.
+    /// land on the track of `engine` (clock slot `slot`: `gpu0.h2d`,
+    /// `gpu0.d2h`, `host.dma`), so `--timeline` shows copies overlapping
+    /// kernels on distinct rows.
     fn account_transfer(
         &mut self,
         src: Loc,
         dst: Loc,
         bytes: f64,
         engine: Engine,
+        slot: usize,
         start: f64,
         done: f64,
     ) {
@@ -660,7 +666,7 @@ impl Sim {
             (Loc::Nvme, _) | (_, Loc::Nvme) => "bytes_nvme",
             _ => "bytes_other",
         };
-        let track = self.engine_track_sym(engine);
+        let track = self.track_sym(slot, SimTrack::Engine(engine));
         let recorder = &self.recorder;
         let name = *self
             .xfer_syms
@@ -683,12 +689,12 @@ impl Sim {
 
     /// Current time of one stream.
     pub fn stream_time(&self, s: StreamId) -> f64 {
-        self.tracks.time_of(&SimTrack::Stream(s))
+        self.time_of(SimTrack::Stream(s))
     }
 
     /// Busy-until time of one copy engine.
     pub fn engine_time(&self, e: Engine) -> f64 {
-        self.tracks.time_of(&SimTrack::Engine(e))
+        self.time_of(SimTrack::Engine(e))
     }
 
     /// Current time of the default stream of `target`.
@@ -699,14 +705,14 @@ impl Sim {
     /// Wall clock: the max over all streams and copy engines (one
     /// frontier fold over the unified track bank).
     pub fn elapsed(&self) -> f64 {
-        self.tracks.frontier()
+        self.clocks.frontier()
     }
 
     /// Join all streams *and* copy-engine tracks at the current wall clock
     /// (device-synchronize: in-flight async copies complete too).
     pub fn sync_all(&mut self) -> f64 {
         let t = self.elapsed();
-        self.tracks.join_all(t);
+        self.clocks.join_all(t);
         t
     }
 
@@ -719,9 +725,9 @@ impl Sim {
     pub fn wait(&mut self, waiter: StreamId, event: StreamId) {
         let waiter = self.resolve_stream(waiter);
         let event = self.resolve_stream(event);
-        let t = self.stream_time(event).max(self.stream_time(waiter));
-        let track = self.stream_track(waiter);
-        self.tracks.set(track, t);
+        let t = self.stream_time(event);
+        let w = self.slot(SimTrack::Stream(waiter));
+        self.clocks.set(w, t.max(self.clocks.time(w)));
     }
 
     /// Record an [`Event`] at `stream`'s current head (CUDA
@@ -739,9 +745,8 @@ impl Sim {
     /// is behind, and is untouched otherwise.
     pub fn wait_event(&mut self, waiter: impl Into<StreamId>, event: Event) {
         let waiter = self.resolve_stream(waiter.into());
-        let t = self.stream_time(waiter).max(event.time);
-        let track = self.stream_track(waiter);
-        self.tracks.set(track, t);
+        let w = self.slot(SimTrack::Stream(waiter));
+        self.clocks.set(w, self.clocks.time(w).max(event.time));
     }
 
     /// Advance the default stream of `target` by `dt` seconds (used by
@@ -753,9 +758,8 @@ impl Sim {
     /// Advance one specific stream by `dt` seconds.
     pub fn advance_stream(&mut self, stream: impl Into<StreamId>, dt: f64) {
         let stream = self.resolve_stream(stream.into());
-        let track = self.stream_track(stream);
-        let t = self.tracks.time(track);
-        self.tracks.set(track, t + dt);
+        let slot = self.slot(SimTrack::Stream(stream));
+        self.clocks.set(slot, self.clocks.time(slot) + dt);
     }
 
     /// Reset all clocks and memory accounting, keeping the machine,
@@ -766,7 +770,7 @@ impl Sim {
     /// reused recorder leaked stale `mem.<loc>.high_water` gauges (and
     /// `sim.phantom_link_hits` counts) across sweep iterations.
     pub fn reset(&mut self) {
-        self.tracks.reset_times();
+        self.clocks.reset_times();
         self.mem = MemTracker::for_machine(&self.machine, self.mem.policy());
         self.phantom_routes.borrow_mut().clear();
         self.recorder.remove_prefixed("sim.");
@@ -784,8 +788,7 @@ impl Sim {
     /// spans on the engine timeline tracks. Publishes `mem.<loc>.bytes`
     /// and `mem.<loc>.high_water` gauges when a recorder is attached.
     pub fn alloc(&mut self, loc: Loc, bytes: f64) -> Result<MemId, OomError> {
-        let (id, moves) = self.mem.alloc(loc, bytes)?;
-        self.charge_migrations(&moves);
+        let (id, _) = self.charge_planned(|mem, moves| mem.alloc(loc, bytes, moves))?;
         self.publish_mem();
         Ok(id)
     }
@@ -796,8 +799,7 @@ impl Sim {
     /// data was already resident (the SAMRAI lesson: keep data on the
     /// device as long as possible).
     pub fn touch_mem(&mut self, id: MemId) -> Result<f64, OomError> {
-        let moves = self.mem.touch(id)?;
-        let dt = self.charge_migrations(&moves);
+        let ((), dt) = self.charge_planned(|mem, moves| mem.touch(id, moves))?;
         if dt > 0.0 {
             self.publish_mem();
         }
@@ -811,13 +813,25 @@ impl Sim {
         self.publish_mem();
     }
 
-    /// Charge a planned migration list as blocking transfers; returns the
-    /// summed transfer seconds.
-    fn charge_migrations(&mut self, moves: &[Migration]) -> f64 {
-        moves
-            .iter()
-            .map(|m| self.transfer(m.src, m.dst, m.bytes, m.kind))
-            .sum()
+    /// Run one `mem` decision with the reused migration buffer, then
+    /// charge the migrations it planned as blocking transfers. Returns the
+    /// decision's value and the summed transfer seconds; an error charges
+    /// nothing.
+    fn charge_planned<T>(
+        &mut self,
+        plan: impl FnOnce(&mut MemTracker, &mut Vec<Migration>) -> Result<T, OomError>,
+    ) -> Result<(T, f64), OomError> {
+        let mut moves = std::mem::take(&mut self.moves);
+        moves.clear();
+        let planned = plan(&mut self.mem, &mut moves).map(|value| {
+            let dt = moves
+                .iter()
+                .map(|m| self.transfer(m.src, m.dst, m.bytes, m.kind))
+                .sum();
+            (value, dt)
+        });
+        self.moves = moves;
+        planned
     }
 
     /// Publish `mem.<loc>.bytes` / `mem.<loc>.high_water` gauges for every
@@ -990,6 +1004,37 @@ mod tests {
         assert_eq!(s.mem().in_use(Loc::Gpu(0)), 0.0);
         assert_eq!(s.mem().high_water(Loc::Gpu(0)), 0.0);
         assert_eq!(s.mem().live_regions(), 0);
+    }
+
+    #[test]
+    fn clocks_intern_once() {
+        let mut s = sim();
+        let (s0, s1) = (
+            StreamId::default_for(Target::gpu(0)),
+            StreamId {
+                target: Target::gpu(0),
+                index: 1,
+            },
+        );
+        s.advance_stream(s0, 1.0);
+        s.advance_stream(s0, 3.0);
+        s.transfer_async(Loc::Host, Loc::Gpu(0), 1e6, TransferKind::Memcpy, s0);
+        assert_eq!(
+            s.slots.len(),
+            2,
+            "one slot per clock, however often touched"
+        );
+        assert!(s.stream_time(s0) > 4.0);
+        // An unknown clock reads idle without being registered.
+        assert_eq!(s.stream_time(s1), 0.0);
+        assert_eq!(s.engine_time(Engine::D2h(0)), 0.0);
+        assert_eq!(s.slots.len(), 2);
+        // Reset zeroes the clocks but keeps every slot.
+        let slots = s.slots.clone();
+        s.reset();
+        assert_eq!(s.stream_time(s0), 0.0);
+        assert_eq!(s.slots, slots);
+        assert_eq!(s.clocks.len(), 2);
     }
 
     // ------------------------------------------------- copy-engine model

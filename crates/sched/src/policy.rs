@@ -124,11 +124,6 @@ impl NodeView {
 /// An exact index of a node bank's free capacity: answers whether a job
 /// fits on some node right now, and where, without visiting the nodes.
 ///
-/// * **Whether.** For each free-GPU level `g` the index keeps the most
-///   free cores of any node with exactly `g` free GPUs, and the maximum
-///   of that over the levels from `g` up. A `(gpus_free, cores_free)`
-///   count histogram keeps both exact as nodes move between levels, so
-///   [`FreeCapacity::fits`] is one compare.
 /// * **Where.** The nodes are grouped by speed, fastest first in
 ///   [`desc_speed_nan_last`] order, and each group gets a segment tree
 ///   over its nodes in id order. Every tree node holds, per (power tier,
@@ -136,29 +131,26 @@ impl NodeView {
 ///   it in that state (0: none). [`FreeCapacity::fastest_fit`] and
 ///   [`FreeCapacity::fastest_best_fit`] descend one tree in O(log n),
 ///   pruning exactly.
+/// * **Whether.** The trees' root slots hold the most free cores per
+///   free-GPU level over the whole bank. Folding them over both tiers and
+///   every group, then taking suffix maxima over the levels, gives for each
+///   `g` the most free cores of any node with at least `g` free GPUs, so
+///   [`FreeCapacity::fits`] is one compare.
 ///
 /// [`FreeCapacity::update`] is the one entry point for every change of a
-/// node's state: it moves the node between histogram cells and rewrites
-/// two slots along one leaf-to-root path.
+/// node's state: it rewrites two slots along one leaf-to-root path, and
+/// touches the suffix maxima only when a root slot moves.
 ///
-/// The histogram holds (most GPUs + 1) × (most cores + 1) counters, and
-/// each group's tree 4 × (its nodes, rounded up to a power of two) ×
-/// (its most GPUs + 1) cells; [`FreeCapacity::max_cells`] bounds the sum.
-/// Build one for a hand-made bank with [`FreeCapacity::of`]; a simulator
-/// keeps one current by calling `update` whenever a node is placed on,
-/// finishes a job, parks or wakes.
+/// Each group's tree holds 4 × (its nodes, rounded up to a power of two)
+/// × 2 × (its most GPUs + 1) cells, whatever its nodes' core counts;
+/// [`FreeCapacity::max_cells`] bounds the sum. Build one for a hand-made
+/// bank with [`FreeCapacity::of`]; a simulator keeps one current by
+/// calling `update` whenever a node is placed on, finishes a job, parks or
+/// wakes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FreeCapacity {
-    /// Histogram columns: the most cores any node can have free, plus one.
-    stride: usize,
-    /// `count[g * stride + c]`: nodes with exactly `g` free GPUs and `c`
-    /// free cores.
-    count: Vec<u32>,
-    /// `level[g]`: one more than the most free cores of any node with
-    /// exactly `g` free GPUs (0: no such node).
-    level: Vec<usize>,
-    /// `reach[g]`: the maximum of `level[g..]`, i.e. one more than the
-    /// most free cores of any node with at least `g` free GPUs.
+    /// `reach[g]`: one more than the most free cores of any node with at
+    /// least `g` free GPUs (0: none), folded from the trees' root slots.
     reach: Vec<usize>,
     /// Speed groups, fastest first.
     groups: Vec<SpeedGroup>,
@@ -211,16 +203,12 @@ impl FreeCapacity {
         index
     }
 
-    /// The most cells an index of `nodes` nodes with at most `gpus` GPUs
-    /// and `cores` cores each can hold (`None`: more than `usize`).
-    pub fn max_cells(nodes: usize, gpus: usize, cores: usize) -> Option<usize> {
+    /// The most tree cells an index of `nodes` nodes with at most `gpus`
+    /// GPUs each can hold (`None`: more than `usize`).
+    pub fn max_cells(nodes: usize, gpus: usize) -> Option<usize> {
         // A group of n nodes has fewer than 2n leaves, so its tree holds
         // fewer than 4n nodes of 2 × (gpus + 1) slots each.
-        let levels = gpus.checked_add(1)?;
-        let trees = nodes.checked_mul(8)?.checked_mul(levels)?;
-        levels
-            .checked_mul(cores.checked_add(1)?)?
-            .checked_add(trees)
+        nodes.checked_mul(8)?.checked_mul(gpus.checked_add(1)?)
     }
 
     /// Re-index `nodes` from scratch, reusing this index's buffers.
@@ -235,28 +223,14 @@ impl FreeCapacity {
             .map(|n| n.gpus_total.max(n.gpus_free).saturating_add(1))
             .max()
             .unwrap_or(0);
-        let cores = nodes
-            .iter()
-            .map(|n| n.cores_total.max(n.cores_free))
-            .max()
-            .unwrap_or(0);
-        self.stride = cores.saturating_add(1);
         assert!(
-            self.stride <= u32::MAX as usize,
+            nodes
+                .iter()
+                .all(|n| n.cores_total.max(n.cores_free) < u32::MAX as usize),
             "free-capacity index holds at most 2^32 - 2 cores per node"
         );
-        let cells = levels
-            .checked_mul(self.stride)
-            .expect("free-capacity index size overflows usize");
-        self.count.clear();
-        self.count.resize(cells, 0);
-        self.level.clear();
-        self.level.resize(levels, 0);
         self.reach.clear();
         self.reach.resize(levels, 0);
-        for n in nodes {
-            self.insert(n.gpus_free, n.cores_free);
-        }
 
         // Speed groups: positions in (speed, id, position) order, cut
         // wherever the speed changes. `ids` holds the positions until the
@@ -321,6 +295,7 @@ impl FreeCapacity {
         for id in &mut self.ids {
             *id = nodes[*id].id;
         }
+        self.refold();
     }
 
     /// Can `job` start on some indexed node right now? Exactly
@@ -387,28 +362,23 @@ impl FreeCapacity {
 
     /// The node at position `node` of the indexed bank now has
     /// `gpus_free` GPUs and `cores_free` cores free and is `parked` or
-    /// awake. The counts stay within what the index was built for: at
-    /// most the node's indexed totals.
+    /// awake. The GPUs stay within the node's group's levels and the cores
+    /// within a slot's `u32`.
     #[inline]
     pub fn update(&mut self, node: usize, gpus_free: usize, cores_free: usize, parked: bool) {
         let seat = self.seats[node];
         let g = self.groups[seat.group as usize];
         assert!(
-            gpus_free < g.levels && cores_free < self.stride,
+            gpus_free < g.levels && cores_free < u32::MAX as usize,
             "node {node} has {gpus_free} GPUs and {cores_free} cores free, past its index"
         );
         let leaf = g.slots(g.width + seat.leaf as usize).start;
         let (was, now) = (seat.slot as usize, parked as usize * g.levels + gpus_free);
-        let was_cores = self.tree[leaf + was] as usize - 1;
-        if (was, was_cores) == (now, cores_free) {
+        if (was, self.tree[leaf + was] as usize) == (now, cores_free + 1) {
             return;
         }
-        if (was % g.levels, was_cores) != (gpus_free, cores_free) {
-            // Insert first: a node moving one level keeps the maxima below
-            // it standing, so neither walk goes past the levels it left.
-            self.insert(gpus_free, cores_free);
-            self.remove(was % g.levels, was_cores);
-        }
+        let root = g.slots(1).start;
+        let before = [self.tree[root + was], self.tree[root + now]];
         self.seats[node].slot = now as u32;
         self.tree[leaf + was] = 0;
         self.tree[leaf + now] = cores_free as u32 + 1;
@@ -431,43 +401,39 @@ impl FreeCapacity {
             }
             k /= 2;
         }
-    }
-
-    fn insert(&mut self, gpus: usize, cores: usize) {
-        self.count[gpus * self.stride + cores] += 1;
-        let v = cores + 1;
-        if v > self.level[gpus] {
-            self.level[gpus] = v;
-            // Raise the suffix maxima until one already covers `v`.
-            for r in self.reach[..=gpus].iter_mut().rev() {
-                if *r >= v {
-                    break;
+        // Both root slots are final here, so one re-fold answers for both.
+        let distinct = 1 + (was != now) as usize;
+        for (s, old) in [was, now].into_iter().zip(before).take(distinct) {
+            let (old, new) = (old as usize, self.tree[root + s] as usize);
+            let level = s % g.levels;
+            if new > old {
+                // Raise the suffix maxima until one already covers `new`.
+                for r in self.reach[..=level].iter_mut().rev() {
+                    if *r >= new {
+                        break;
+                    }
+                    *r = new;
                 }
-                *r = v;
+            } else if new < old && self.reach[level] == old {
+                self.refold();
             }
         }
     }
 
-    fn remove(&mut self, gpus: usize, cores: usize) {
-        let row = &mut self.count[gpus * self.stride..(gpus + 1) * self.stride];
-        row[cores] -= 1;
-        if row[cores] > 0 || self.level[gpus] != cores + 1 {
-            return;
-        }
-        // The level's widest node left: the next widest has fewer cores.
-        self.level[gpus] = row[..cores]
-            .iter()
-            .rposition(|&n| n > 0)
-            .map_or(0, |c| c + 1);
-        // Re-derive the suffix maxima downwards until one stands.
-        let mut above = self.reach.get(gpus + 1).copied().unwrap_or(0);
-        for g in (0..=gpus).rev() {
-            let r = self.level[g].max(above);
-            if r == self.reach[g] {
-                break;
+    /// Re-derive `reach` from every group's root slots, both tiers.
+    fn refold(&mut self) {
+        self.reach.fill(0);
+        for g in &self.groups {
+            for tier in self.tree[g.slots(1)].chunks_exact(g.levels) {
+                for (r, &v) in self.reach.iter_mut().zip(tier) {
+                    *r = (*r).max(v as usize);
+                }
             }
-            self.reach[g] = r;
-            above = r;
+        }
+        let mut above = 0;
+        for r in self.reach.iter_mut().rev() {
+            above = above.max(*r);
+            *r = above;
         }
     }
 }

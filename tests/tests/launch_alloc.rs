@@ -1,29 +1,41 @@
-//! A warm `Sim::launch_on` with an enabled recorder does not touch the
-//! allocator: the kernel name is interned under the span's own lock, the
-//! track and metric names are cached symbols, and `Recorder::reset` keeps
-//! every buffer. This file is its own test binary because it installs a
-//! counting global allocator.
+//! Warm `Sim` calls with an enabled recorder do not touch the allocator:
+//! a launch, a blocking or asynchronous transfer, and a unified-memory
+//! touch that migrates pages. Kernel names are interned under the span's
+//! own lock, track, metric and transfer names are cached symbols, the
+//! migration plan fills a buffer the `Sim` reuses, and `Recorder::reset`
+//! keeps every buffer. This file is its own test binary because it
+//! installs a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use hetsim::{machines, KernelProfile, Recorder, Sim, StreamId, Target};
+use hetsim::{
+    machines, KernelProfile, Loc, OomPolicy, Recorder, Sim, StreamId, Target, TransferKind, GIB,
+};
 
 /// Counts allocations made by a thread while it is armed, so allocations
-/// by the test harness's other threads never enter the count.
+/// by the test harness's other threads (and other tests) never enter the
+/// count.
 struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_alloc() {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
+}
+
+/// The allocations `f` makes on this thread.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get) - before
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -53,6 +65,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const LAUNCHES: usize = 256;
+const TRANSFERS: usize = 256;
+/// Unified-memory regions of 1 GiB: 1.5x a sierra GPU's 16 GiB, so every
+/// touch of a sequential sweep migrates.
+const REGIONS: usize = 24;
+
+/// A sierra node under unified-memory spill with an enabled recorder.
+fn um_sim(rec: &Recorder) -> Sim {
+    Sim::new(machines::sierra_node())
+        .with_oom_policy(OomPolicy::UnifiedSpill)
+        .with_recorder(rec.clone())
+}
 
 #[test]
 fn warm_launch_on_allocates_nothing() {
@@ -76,11 +99,7 @@ fn warm_launch_on_allocates_nothing() {
     launch_all(&mut sim);
     rec.reset();
 
-    ARMED.with(|a| a.set(true));
-    launch_all(&mut sim);
-    ARMED.with(|a| a.set(false));
-
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let allocs = allocs_in(|| launch_all(&mut sim));
     assert_eq!(
         allocs, 0,
         "{allocs} allocations across {LAUNCHES} warm launches"
@@ -88,4 +107,94 @@ fn warm_launch_on_allocates_nothing() {
     // The launches were recorded, not skipped.
     assert_eq!(rec.span_count(), LAUNCHES);
     assert_eq!(rec.counter("launches"), LAUNCHES as f64);
+}
+
+#[test]
+fn warm_transfer_allocates_nothing() {
+    let rec = Recorder::enabled();
+    let mut sim = um_sim(&rec);
+    // Both directions over the host link, and a device-local copy.
+    let routes = [
+        (Loc::Host, Loc::Gpu(0)),
+        (Loc::Gpu(0), Loc::Host),
+        (Loc::Gpu(0), Loc::Gpu(0)),
+    ];
+    let transfer_all = |sim: &mut Sim| {
+        for i in 0..TRANSFERS {
+            let (src, dst) = routes[i % routes.len()];
+            sim.transfer(src, dst, 64e6, TransferKind::Memcpy);
+        }
+    };
+
+    transfer_all(&mut sim);
+    rec.reset();
+
+    let allocs = allocs_in(|| transfer_all(&mut sim));
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations across {TRANSFERS} warm transfers"
+    );
+    assert_eq!(rec.span_count(), TRANSFERS);
+    assert_eq!(rec.counter("transfers"), TRANSFERS as f64);
+}
+
+#[test]
+fn warm_transfer_async_allocates_nothing() {
+    let rec = Recorder::enabled();
+    let mut sim = um_sim(&rec);
+    let streams = [1, 2].map(|index| StreamId {
+        target: Target::gpu(0),
+        index,
+    });
+    let transfer_all = |sim: &mut Sim| {
+        for i in 0..TRANSFERS {
+            let (src, dst) = if i % 2 == 0 {
+                (Loc::Host, Loc::Gpu(0))
+            } else {
+                (Loc::Gpu(0), Loc::Host)
+            };
+            let done = sim.transfer_async(src, dst, 32e6, TransferKind::Memcpy, streams[i % 2]);
+            sim.wait_event(streams[(i + 1) % 2], done);
+        }
+    };
+
+    transfer_all(&mut sim);
+    rec.reset();
+
+    let allocs = allocs_in(|| transfer_all(&mut sim));
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations across {TRANSFERS} warm async transfers"
+    );
+    assert_eq!(rec.span_count(), TRANSFERS);
+}
+
+#[test]
+fn warm_migrating_touch_allocates_nothing() {
+    let rec = Recorder::enabled();
+    let mut sim = um_sim(&rec);
+    let ids: Vec<_> = (0..REGIONS)
+        .map(|_| sim.alloc(Loc::Gpu(0), GIB).expect("fits on the host"))
+        .collect();
+    // A sequential sweep over 1.5x the device: LRU evicts every region
+    // before its next touch, so each touch faults in and evicts.
+    let sweep = |sim: &mut Sim| {
+        for &id in &ids {
+            let dt = sim.touch_mem(id).expect("spills to the host");
+            assert!(dt > 0.0, "every touch of the sweep migrates");
+        }
+    };
+
+    // Two sweeps: the first fills the device, the second is the steady
+    // shape (one page-in and one eviction per touch).
+    sweep(&mut sim);
+    sweep(&mut sim);
+    rec.reset();
+
+    let allocs = allocs_in(|| sweep(&mut sim));
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations across {REGIONS} warm migrating touches"
+    );
+    assert_eq!(rec.span_count(), 2 * REGIONS);
 }

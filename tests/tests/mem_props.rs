@@ -26,7 +26,7 @@ fn drive(t: &mut MemTracker, ops: &[Op], live: &mut Vec<MemId>) -> (f64, f64) {
         let bytes = mib as f64 * MIB;
         match op {
             0 => {
-                if let Ok((id, _)) = t.alloc(Loc::Gpu(0), bytes) {
+                if let Ok(id) = t.alloc(Loc::Gpu(0), bytes, &mut Vec::new()) {
                     allocated += bytes;
                     live.push(id);
                 }
@@ -36,7 +36,7 @@ fn drive(t: &mut MemTracker, ops: &[Op], live: &mut Vec<MemId>) -> (f64, f64) {
                     let id = live[pick % live.len()];
                     // Touch may legitimately fail only under Fail policy
                     // semantics; under spill policies it must succeed.
-                    let _ = t.touch(id);
+                    let _ = t.touch(id, &mut Vec::new());
                 }
             }
             _ => {
@@ -172,18 +172,18 @@ proptest! {
         for n in sizes {
             let mut t = tracker(OomPolicy::UnifiedSpill);
             let ids: Vec<_> = (0..n)
-                .map(|_| t.alloc(Loc::Gpu(0), GIB).unwrap().0)
+                .map(|_| t.alloc(Loc::Gpu(0), GIB, &mut Vec::new()).unwrap())
                 .collect();
             // Cold pass to reach steady state, then one measured sweep.
+            let mut moves = Vec::new();
             for id in &ids {
-                t.touch(*id).unwrap();
+                t.touch(*id, &mut moves).unwrap();
             }
-            let mut moved = 0.0;
+            moves.clear();
             for id in &ids {
-                for m in t.touch(*id).unwrap() {
-                    moved += m.bytes;
-                }
+                t.touch(*id, &mut moves).unwrap();
             }
+            let moved: f64 = moves.iter().map(|m| m.bytes).sum();
             prop_assert!(
                 moved >= last_cost - EPS,
                 "sweep of {n} GiB moved {moved} B, less than a smaller set ({last_cost} B)"
