@@ -53,7 +53,7 @@
 //! single-GPU-pool study runs on it too, as a fleet of one node
 //! ([`super::pool::simulate_pool`]).
 
-use hetsim::des::EventKernel;
+use hetsim::des::{total_order_key, EventKernel};
 use hetsim::obs::{quantile, Recorder, SpanKind};
 use sched::{ClusterView, FreeCapacity, JobInfo, NodeView, QueuedJob, RunningJob, SchedPolicy};
 
@@ -629,7 +629,9 @@ impl ClusterSim {
             self.integrate(ni, makespan);
         }
         let joules: f64 = self.aux.iter().map(|a| a.joules).sum();
-        self.waits.sort_by(|a, b| a.total_cmp(b));
+        // Integer keys: no float compare per step, and the order (equal
+        // keys are bitwise-equal waits) is the stable `total_cmp` one.
+        self.waits.sort_unstable_by_key(|&w| total_order_key(w));
         let waits = &self.waits;
         let pct = |q: f64| quantile(waits, q);
         let span = makespan.max(1e-9);

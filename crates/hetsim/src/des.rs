@@ -96,9 +96,13 @@ const MAX_INSERTS: usize = 64;
 
 /// Narrowing aims at this many distinct times per epoch, and a promoted
 /// bucket of twice as many narrows again, so buckets settle between the
-/// two and sorting one when it becomes the head costs a few compares per
+/// two and ordering one when it becomes the head costs a few compares per
 /// record.
 const TARGET_BUCKET: usize = 4;
+
+/// A promoted bucket of at most this many records is ordered by rank
+/// (see [`fill_head`]); a larger one is sorted.
+const RANKED_BUCKET: usize = 2 * TARGET_BUCKET;
 
 /// Ring slots before the first growth: one word of the occupancy bitmap.
 const MIN_RING: usize = 64;
@@ -123,14 +127,15 @@ type Record<E> = (EventKey, E);
 /// over the slots finds the next occupied one with `trailing_zeros`.
 /// Epochs past the window wait, unsorted, in one overflow vector that is
 /// re-filed when the window drains; a window that must slide back past its
-/// latest buckets spills them there too. A bucket is sorted once, when it
-/// becomes the head; a push into the head is binary-inserted, which keeps
+/// latest buckets spills them there too. A bucket is ordered once, when it
+/// becomes the head (ranked when small, see [`fill_head`]; sorted when
+/// not); a push into the head is binary-inserted, which keeps
 /// the order exact, and a push before it sends it back to the ring. The
 /// ring grows toward the span of pending epochs, to at most one slot per
 /// pending event. An adaptive rebuild narrows `width` (never widens it)
 /// when a head takes many insertions mid-head, or when a promoted bucket
 /// holds many distinct times while the calendar is dense, keeping each
-/// sort short.
+/// bucket small.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// The records of epoch `head_epoch`, sorted descending by key. Empty
@@ -197,7 +202,12 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
 
+/// Promotion fills the head with clones of a small bucket's records (see
+/// [`fill_head`]); for the `Copy` payloads every simulator schedules, a
+/// clone is that copy.
+impl<E: Clone> EventQueue<E> {
     /// Epoch a time radixes into: monotone in time. NaN (and anything
     /// saturating the cast, ±∞ included) lands in a terminal epoch; the
     /// in-bucket key order restores the exact order there.
@@ -286,7 +296,8 @@ impl<E> EventQueue<E> {
             .slot_for(old)
             .expect("the window can always move back to the head's epoch");
         // Back to front: the bucket holds its records in ascending order,
-        // which the sort on promotion finishes in one linear pass.
+        // which, in a bucket too large to rank, the sort on promotion
+        // finishes in one linear pass.
         self.ring[slot].extend(self.head.drain(..).rev());
         self.ring_count += self.ring[slot].len();
         self.top = self.top.max(old);
@@ -493,7 +504,7 @@ impl<E> EventQueue<E> {
         self.resize_ring(len, lo);
     }
 
-    /// Make the earliest ring bucket the head, sorting it once; re-file
+    /// Make the earliest ring bucket the head, ordering it once; re-file
     /// the overflow first when the window has drained. The head must be
     /// empty and the queue not.
     fn promote(&mut self) {
@@ -515,7 +526,7 @@ impl<E> EventQueue<E> {
         let bucket = &mut self.ring[slot];
         self.ring_count -= bucket.len();
         self.head.clear();
-        self.head.extend(bucket.drain(..).rev());
+        fill_head(&mut self.head, bucket);
         if bucket.capacity() > KEPT_CAPACITY {
             *bucket = Vec::new();
         }
@@ -524,10 +535,6 @@ impl<E> EventQueue<E> {
         if self.ring_count == 0 {
             self.top = i64::MIN;
         }
-        // Keys are unique (`seq`): the unstable sort is exact.
-        self.head
-            .make_contiguous()
-            .sort_unstable_by_key(|&(key, _)| Reverse(key));
         // A whole bucket of many distinct times narrows toward the target
         // (this is where a width set mid-burst gets corrected), while the
         // calendar as a whole is that dense: in a sparse timeline a lone
@@ -667,6 +674,58 @@ fn spread<'a, E: 'a>(records: impl IntoIterator<Item = &'a Record<E>>) -> (usize
     (distinct, (last - first).abs())
 }
 
+/// The unsigned integer whose order is [`f64::total_cmp`]'s: negatives'
+/// low 63 bits flipped, then offset to `u64`. So `-0.0 < +0.0`, and
+/// positive NaN ranks above `+inf`. Equal images are bitwise-equal
+/// floats, so a sort by image is a stable `total_cmp` sort.
+#[inline]
+pub fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63)
+}
+
+/// The unsigned integer whose order is [`EventKey`]'s: the time's
+/// [`total_order_key`] above the `seq`.
+#[inline]
+fn key_image(key: &EventKey) -> u128 {
+    (u128::from(total_order_key(key.time)) << 64) | u128::from(key.seq)
+}
+
+/// Move `bucket`'s records into the empty `head`, sorted descending by
+/// key, leaving `bucket` empty. A bucket of 2 to [`RANKED_BUCKET`]
+/// records is ordered without a data-dependent branch: a record's rank is
+/// the count of keys above its own, and the head is filled in rank order
+/// with clones of the records. An insertion sort mispredicts about once
+/// per record there; larger buckets (a simultaneous batch, a bucket
+/// before it narrows) are sorted.
+fn fill_head<E: Clone>(head: &mut VecDeque<Record<E>>, bucket: &mut Vec<Record<E>>) {
+    let n = bucket.len();
+    if n <= 1 {
+        head.extend(bucket.drain(..));
+    } else if n <= RANKED_BUCKET {
+        let mut keys = [0u128; RANKED_BUCKET];
+        for (image, (key, _)) in keys.iter_mut().zip(bucket.iter()) {
+            *image = key_image(key);
+        }
+        // Keys are unique (`seq`), so the ranks are a permutation.
+        let keys = &keys[..n];
+        let mut order = [0usize; RANKED_BUCKET];
+        for (i, &own) in keys.iter().enumerate() {
+            let rank: usize = keys.iter().map(|&k| usize::from(k > own)).sum();
+            order[rank] = i;
+        }
+        head.extend(order[..n].iter().map(|&i| bucket[i].clone()));
+        bucket.clear();
+    } else {
+        // Ascending runs (a head sent back to the ring) reverse into one
+        // descending run, which the sort checks in one linear pass. Keys
+        // are unique (`seq`): the unstable sort is exact.
+        head.extend(bucket.drain(..).rev());
+        head.make_contiguous()
+            .sort_unstable_by_key(|&(key, _)| Reverse(key));
+    }
+}
+
 // ------------------------------------------------------------- EventKernel
 
 /// An [`EventQueue`] plus the monotone simulated clock the simulators
@@ -691,7 +750,9 @@ impl<E> EventKernel<E> {
     pub fn now(&self) -> f64 {
         self.now
     }
+}
 
+impl<E: Clone> EventKernel<E> {
     /// Schedule `ev` at absolute `time`.
     pub fn schedule(&mut self, time: f64, ev: E) -> EventKey {
         self.queue.push(time, ev)
@@ -938,6 +999,32 @@ mod tests {
         assert!(q.is_empty());
         let k2 = q.push(1.0, ());
         assert!(k2.seq > k1.seq, "seq stays unique across clear");
+    }
+
+    #[test]
+    fn key_image_orders_like_event_key() {
+        let times = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let keys: Vec<EventKey> = times
+            .iter()
+            .flat_map(|&time| (0..2).map(move |seq| EventKey { time, seq }))
+            .collect();
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(key_image(a).cmp(&key_image(b)), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

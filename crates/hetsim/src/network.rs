@@ -47,7 +47,7 @@ use serde::Serialize;
 
 use crate::des::TrackBank;
 
-use crate::obs::{Recorder, SpanKind};
+use crate::obs::{Recorder, SpanKind, Sym};
 use crate::sim::Event;
 use crate::spec::{Machine, NetworkSpec, TopologySpec};
 
@@ -174,6 +174,40 @@ struct NetState {
 /// copy-engine tracks, not one per allocation).
 const NIC_SPAN_TRACKS: usize = 8;
 
+/// The operation kinds `net.<kind>` counts with a pre-interned name:
+/// point-to-point messages, then every [`CollectiveKind`].
+const NET_KINDS: [&str; 7] = [
+    "p2p",
+    "allreduce",
+    "alltoall",
+    "reduce",
+    "treereduce",
+    "broadcast",
+    "gather",
+];
+
+/// Pre-interned `net.*` counter names, rebuilt whenever a recorder is
+/// attached; inert ([`Sym::NOOP`]) when tracing is off.
+#[derive(Debug, Clone, Copy)]
+struct NetSyms {
+    ops: Sym,
+    bytes: Sym,
+    seconds: Sym,
+    /// `net.<kind>` for each of [`NET_KINDS`], in order.
+    kinds: [Sym; NET_KINDS.len()],
+}
+
+impl NetSyms {
+    fn for_recorder(rec: &Recorder) -> NetSyms {
+        NetSyms {
+            ops: rec.intern("net.ops"),
+            bytes: rec.intern("net.bytes"),
+            seconds: rec.intern("net.seconds"),
+            kinds: NET_KINDS.map(|kind| rec.intern(&format!("net.{kind}"))),
+        }
+    }
+}
+
 /// A network of `ranks` endpoints over `spec`.
 #[derive(Debug, Serialize)]
 pub struct Network {
@@ -190,6 +224,8 @@ pub struct Network {
     /// clocks.
     state: Mutex<NetState>,
     recorder: Recorder,
+    /// The `net.*` counter names, interned once per attached recorder.
+    syms: NetSyms,
 }
 
 impl Clone for Network {
@@ -206,6 +242,7 @@ impl Clone for Network {
                 flows: state.flows.clone(),
             }),
             recorder: self.recorder.clone(),
+            syms: self.syms,
         }
     }
 }
@@ -233,6 +270,7 @@ impl Network {
             straggler: None,
             state: Mutex::new(NetState::default()),
             recorder: Recorder::noop(),
+            syms: NetSyms::for_recorder(&Recorder::noop()),
         }
     }
 
@@ -245,12 +283,14 @@ impl Network {
 
     /// Attach an observability recorder (builder form).
     pub fn with_recorder(mut self, recorder: Recorder) -> Network {
-        self.recorder = recorder;
+        self.set_recorder(recorder);
         self
     }
 
-    /// Attach an observability recorder in place.
+    /// Attach an observability recorder in place, interning the `net.*`
+    /// counter names on it.
     pub fn set_recorder(&mut self, recorder: Recorder) {
+        self.syms = NetSyms::for_recorder(&recorder);
         self.recorder = recorder;
     }
 
@@ -315,23 +355,17 @@ impl Network {
     /// **once**, not once per phase — Fig 2 / Fig 3 message counts must
     /// stay comparable across algorithms.
     fn note(&self, kind: &str, msgs: u64, volume: f64, seconds: f64) {
-        if self.recorder.is_enabled() {
-            self.recorder.incr("net.ops", msgs as f64);
-            self.recorder.incr("net.bytes", volume);
-            self.recorder.incr("net.seconds", seconds);
-            // Static metric names for every known kind — no per-op
-            // format allocation on the injection hot path.
-            let metric = match kind {
-                "p2p" => "net.p2p",
-                "allreduce" => "net.allreduce",
-                "alltoall" => "net.alltoall",
-                "reduce" => "net.reduce",
-                "treereduce" => "net.treereduce",
-                "broadcast" => "net.broadcast",
-                "gather" => "net.gather",
-                other => return self.recorder.incr(format!("net.{other}"), msgs as f64),
-            };
-            self.recorder.incr(metric, msgs as f64);
+        // One lock, pre-interned names for every known kind: no hash
+        // lookup and no per-op format allocation on the injection path.
+        let Some(mut batch) = self.recorder.batch() else {
+            return;
+        };
+        batch.incr(self.syms.ops, msgs as f64);
+        batch.incr(self.syms.bytes, volume);
+        batch.incr(self.syms.seconds, seconds);
+        match NET_KINDS.iter().position(|&k| k == kind) {
+            Some(i) => batch.incr(self.syms.kinds[i], msgs as f64),
+            None => batch.incr(format!("net.{kind}"), msgs as f64),
         }
     }
 
@@ -570,14 +604,19 @@ impl Network {
             // rank injects its payload.
             self.note(kind.as_str(), 1, bytes * n, dur);
         }
-        if self.recorder.is_enabled() && dur > 0.0 {
+        let batch = if dur > 0.0 {
+            self.recorder.batch()
+        } else {
+            None
+        };
+        if let Some(mut batch) = batch {
             let name = match algo {
                 AllReduceAlgo::Flat => kind.as_str().to_string(),
                 AllReduceAlgo::Hierarchical => format!("{}.hier", kind.as_str()),
             };
             for rank in 0..self.ranks.min(NIC_SPAN_TRACKS) {
-                self.recorder.record_span(
-                    name.clone(),
+                batch.record_span(
+                    name.as_str(),
                     SpanKind::Collective,
                     format!("nic{rank}.inj"),
                     start,

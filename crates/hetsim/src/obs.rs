@@ -41,7 +41,9 @@
 //! [`Recorder::incr`], [`Recorder::gauge`], [`Recorder::begin`]) accepts
 //! any [`Name`]: a string, interned under the same lock acquisition that
 //! records the event, or a [`Sym`] pre-interned once with
-//! [`Recorder::intern`], which skips even the hash lookup.
+//! [`Recorder::intern`], which skips even the hash lookup. A caller with
+//! several writes to make (a launch's span and counters) takes the lock
+//! once with [`Recorder::batch`], whose [`Batch`] has the same writes.
 //!
 //! ```
 //! use hetsim::obs::{Recorder, SpanKind};
@@ -56,7 +58,7 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 pub mod json;
@@ -379,6 +381,62 @@ impl ObsState {
     }
 }
 
+/// A run of writes to one enabled [`Recorder`] under a single lock
+/// acquisition, from [`Recorder::batch`]: a hot path that records a span
+/// and several metrics (`Sim::launch_on`, `Network`'s per-operation
+/// counters, `Sim`'s memory gauges) pays one lock instead of one per
+/// write. The recorder's single-shot writes are each a one-write batch,
+/// so both forms store exactly the same thing.
+///
+/// The lock is held until the batch drops; no method of its recorder may
+/// run meanwhile (the lock is not re-entrant).
+#[derive(Debug)]
+pub struct Batch<'a> {
+    state: MutexGuard<'a, ObsState>,
+}
+
+impl Batch<'_> {
+    /// [`Recorder::intern`] under the batch's lock.
+    #[inline]
+    pub fn intern(&mut self, name: &str) -> Sym {
+        Sym(self.state.intern(name))
+    }
+
+    /// [`Recorder::record_span`] under the batch's lock.
+    #[inline]
+    pub fn record_span(
+        &mut self,
+        name: impl Name,
+        kind: SpanKind,
+        track: impl Name,
+        start: f64,
+        end: f64,
+    ) {
+        let s = &mut *self.state;
+        let (Some(name), Some(track)) = (s.id(&name), s.id(&track)) else {
+            return;
+        };
+        s.push_span(name, kind, track, start, end, false);
+    }
+
+    /// [`Recorder::incr`] under the batch's lock.
+    #[inline]
+    pub fn incr(&mut self, name: impl Name, delta: f64) {
+        let s = &mut *self.state;
+        let Some(id) = s.id(&name) else { return };
+        let slot = ObsState::slot(&mut s.counters, id);
+        *slot = Some(slot.unwrap_or(0.0) + delta);
+    }
+
+    /// [`Recorder::gauge`] under the batch's lock.
+    #[inline]
+    pub fn gauge(&mut self, name: impl Name, value: f64) {
+        let s = &mut *self.state;
+        let Some(id) = s.id(&name) else { return };
+        *ObsState::slot(&mut s.gauges, id) = Some(value);
+    }
+}
+
 /// The cheap-clone observability handle.
 ///
 /// All methods take `&self`; an enabled recorder synchronises internally so
@@ -411,9 +469,24 @@ impl Recorder {
 
     #[inline]
     fn with<R>(&self, f: impl FnOnce(&mut ObsState) -> R) -> Option<R> {
+        let mut batch = self.batch()?;
+        Some(f(&mut batch.state))
+    }
+
+    /// Take the recorder's lock once for a run of writes: the returned
+    /// [`Batch`] has the same `intern`, `record_span`, `incr` and `gauge`
+    /// as the recorder, and holds the lock until it is dropped. `None` on
+    /// a disabled recorder.
+    ///
+    /// The lock is not re-entrant: no method of this recorder (or of a
+    /// clone of it) may run while the batch lives, or the thread
+    /// deadlocks. Intern through the batch instead.
+    #[inline]
+    pub fn batch(&self) -> Option<Batch<'_>> {
         let inner = self.inner.as_ref()?;
-        let mut g = inner.lock().unwrap_or_else(|e| e.into_inner());
-        Some(f(&mut g))
+        Some(Batch {
+            state: inner.lock().unwrap_or_else(|e| e.into_inner()),
+        })
     }
 
     // ----------------------------------------------------------- symbols
@@ -423,7 +496,7 @@ impl Recorder {
     /// lookup. Costs one hash lookup (one allocation the first time a name
     /// is seen); on a disabled recorder returns the inert [`Sym::NOOP`].
     pub fn intern(&self, name: &str) -> Sym {
-        self.with(|s| Sym(s.intern(name))).unwrap_or(Sym::NOOP)
+        self.batch().map_or(Sym::NOOP, |mut b| b.intern(name))
     }
 
     // ------------------------------------------------------------- spans
@@ -475,12 +548,9 @@ impl Recorder {
         start: f64,
         end: f64,
     ) {
-        self.with(|s| {
-            let (Some(name), Some(track)) = (s.id(&name), s.id(&track)) else {
-                return;
-            };
-            s.push_span(name, kind, track, start, end, false);
-        });
+        if let Some(mut b) = self.batch() {
+            b.record_span(name, kind, track, start, end);
+        }
     }
 
     /// Snapshot of all recorded spans (open spans have `end = NaN`).
@@ -514,20 +584,17 @@ impl Recorder {
     /// Add `delta` to counter `name` (creating it at 0).
     #[inline]
     pub fn incr(&self, name: impl Name, delta: f64) {
-        self.with(|s| {
-            let Some(id) = s.id(&name) else { return };
-            let slot = ObsState::slot(&mut s.counters, id);
-            *slot = Some(slot.unwrap_or(0.0) + delta);
-        });
+        if let Some(mut b) = self.batch() {
+            b.incr(name, delta);
+        }
     }
 
     /// Set gauge `name` to its latest value.
     #[inline]
     pub fn gauge(&self, name: impl Name, value: f64) {
-        self.with(|s| {
-            let Some(id) = s.id(&name) else { return };
-            *ObsState::slot(&mut s.gauges, id) = Some(value);
-        });
+        if let Some(mut b) = self.batch() {
+            b.gauge(name, value);
+        }
     }
 
     /// Current value of a counter (0 if never incremented).
@@ -936,6 +1003,60 @@ mod tests {
         r.record_span(Sym::NOOP, SpanKind::Kernel, t, 2.0, 3.0);
         assert_eq!(r.span_count(), 2);
         assert_eq!(r.begin(Sym::NOOP, SpanKind::Phase).id, None);
+    }
+
+    #[test]
+    fn batched_writes_match_single_shot_writes() {
+        // The same writes, once as single-shot calls and once in two
+        // batches, leave the same spans, metrics and rendered sinks.
+        // Every name is first seen inside a batch, so those interns run
+        // under the batch's own lock.
+        let single = Recorder::enabled();
+        let flops = single.intern("flops");
+        single.record_span("axpy", SpanKind::Kernel, "gpu0.s0", 0.0, 1e-3);
+        single.incr(flops, 2e9);
+        single.incr("launches", 1.0);
+        single.gauge("mem.gpu0.bytes", 4.0);
+        single.record_span("xfer", SpanKind::Transfer, "gpu0.h2d", 1e-3, 3e-3);
+        single.incr("bytes_h2d", 8.0);
+        single.incr(flops, 1e9);
+        single.gauge("mem.gpu0.bytes", 2.0);
+        single.gauge("mem.gpu0.high_water", 4.0);
+        single.record_span("axpy", SpanKind::Kernel, "gpu0.s1", 2e-3, 4e-3);
+
+        let batched = Recorder::enabled();
+        {
+            let mut b = batched.batch().expect("an enabled recorder batches");
+            let flops = b.intern("flops");
+            b.record_span("axpy", SpanKind::Kernel, "gpu0.s0", 0.0, 1e-3);
+            b.incr(flops, 2e9);
+            b.incr("launches", 1.0);
+            b.gauge("mem.gpu0.bytes", 4.0);
+        }
+        {
+            let mut b = batched.batch().expect("an enabled recorder batches");
+            let track = b.intern("gpu0.h2d");
+            b.record_span(String::from("xfer"), SpanKind::Transfer, track, 1e-3, 3e-3);
+            b.incr("bytes_h2d", 8.0);
+            b.incr("flops", 1e9);
+            let bytes = b.intern("mem.gpu0.bytes");
+            b.gauge(bytes, 2.0);
+            b.gauge("mem.gpu0.high_water", 4.0);
+            b.incr(Sym::NOOP, 1.0);
+            b.record_span(Sym::NOOP, SpanKind::Kernel, track, 0.0, 1.0);
+        }
+        // A single-shot write after a batch drops takes the lock again.
+        batched.record_span("axpy", SpanKind::Kernel, "gpu0.s1", 2e-3, 4e-3);
+
+        assert_eq!(batched.spans(), single.spans());
+        assert_eq!(batched.counters(), single.counters());
+        assert_eq!(batched.gauges(), single.gauges());
+        assert_eq!(batched.hot_list(), single.hot_list());
+        assert_eq!(batched.render_timeline(60), single.render_timeline(60));
+        assert_eq!(batched.to_jsonl(), single.to_jsonl());
+        assert_eq!(batched.summary_json("batch"), single.summary_json("batch"));
+        assert_eq!(batched.intern("flops"), single.intern("flops"));
+        assert!(Recorder::noop().batch().is_none());
     }
 
     #[test]

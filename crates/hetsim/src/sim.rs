@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use crate::des::TrackBank;
 use crate::kernel::KernelProfile;
 use crate::mem::{MemId, MemTracker, Migration, OomError, OomPolicy};
-use crate::obs::{Recorder, SpanKind, Sym};
+use crate::obs::{Batch, Recorder, SpanKind, Sym};
 use crate::spec::{LinkKind, LinkSpec, Machine};
 
 /// Where data lives.
@@ -374,10 +374,15 @@ impl Sim {
     }
 
     /// Interned timeline label of the clock `track` at `slot`, formatted
-    /// only on its first span under the attached recorder.
-    fn track_sym(&mut self, slot: usize, track: SimTrack) -> Sym {
-        let recorder = &self.recorder;
-        *self.track_syms[slot].get_or_insert_with(|| recorder.intern(&track.label()))
+    /// and interned through `batch` only on its first span under the
+    /// attached recorder.
+    fn track_sym(
+        track_syms: &mut [Option<Sym>],
+        batch: &mut Batch<'_>,
+        slot: usize,
+        track: SimTrack,
+    ) -> Sym {
+        *track_syms[slot].get_or_insert_with(|| batch.intern(&track.label()))
     }
 
     /// The attached recorder (a no-op handle unless one was set).
@@ -436,16 +441,15 @@ impl Sim {
         let slot = self.slot(clock);
         let start = self.clocks.time(slot);
         self.clocks.set(slot, start + dt);
-        if self.recorder.is_enabled() {
-            // Hot path: interned track + metric symbols, and the kernel
-            // name interned under the span's own lock — no label
-            // formatting, no per-span `String` allocation.
-            let track = self.track_sym(slot, clock);
-            self.recorder
-                .record_span(k.name.as_str(), SpanKind::Kernel, track, start, start + dt);
-            self.recorder.incr(self.hot_syms.launches, 1.0);
-            self.recorder.incr(self.hot_syms.flops, k.flops);
-            self.recorder.incr(self.hot_syms.kernel_bytes, k.bytes());
+        if let Some(mut batch) = self.recorder.batch() {
+            // Hot path: one lock, interned track + metric symbols, and the
+            // kernel name interned under that lock — no label formatting,
+            // no per-span `String` allocation.
+            let track = Self::track_sym(&mut self.track_syms, &mut batch, slot, clock);
+            batch.record_span(k.name.as_str(), SpanKind::Kernel, track, start, start + dt);
+            batch.incr(self.hot_syms.launches, 1.0);
+            batch.incr(self.hot_syms.flops, k.flops);
+            batch.incr(self.hot_syms.kernel_bytes, k.bytes());
         }
         dt
     }
@@ -656,9 +660,9 @@ impl Sim {
         start: f64,
         done: f64,
     ) {
-        if !self.recorder.is_enabled() {
+        let Some(mut batch) = self.recorder.batch() else {
             return;
-        }
+        };
         let metric = match (src, dst) {
             (Loc::Host, Loc::Gpu(_)) => "bytes_h2d",
             (Loc::Gpu(_), Loc::Host) => "bytes_d2h",
@@ -666,16 +670,19 @@ impl Sim {
             (Loc::Nvme, _) | (_, Loc::Nvme) => "bytes_nvme",
             _ => "bytes_other",
         };
-        let track = self.track_sym(slot, SimTrack::Engine(engine));
-        let recorder = &self.recorder;
+        let track = Self::track_sym(
+            &mut self.track_syms,
+            &mut batch,
+            slot,
+            SimTrack::Engine(engine),
+        );
         let name = *self
             .xfer_syms
             .entry((src, dst, bytes.to_bits()))
-            .or_insert_with(|| recorder.intern(&format!("xfer {src:?}->{dst:?} ({bytes:.0} B)")));
-        self.recorder
-            .record_span(name, SpanKind::Transfer, track, start, done);
-        self.recorder.incr(self.hot_syms.transfers, 1.0);
-        self.recorder.incr(metric, bytes);
+            .or_insert_with(|| batch.intern(&format!("xfer {src:?}->{dst:?} ({bytes:.0} B)")));
+        batch.record_span(name, SpanKind::Transfer, track, start, done);
+        batch.incr(self.hot_syms.transfers, 1.0);
+        batch.incr(metric, bytes);
     }
 
     fn loc_stream(&self, loc: Loc) -> StreamId {
@@ -835,29 +842,32 @@ impl Sim {
     }
 
     /// Publish `mem.<loc>.bytes` / `mem.<loc>.high_water` gauges for every
-    /// tracked location.
+    /// tracked location, under one recorder lock.
     fn publish_mem(&mut self) {
-        if !self.recorder.is_enabled() {
+        let Some(mut batch) = self.recorder.batch() else {
             return;
-        }
-        for i in 0..self.mem.locs().len() {
-            let loc = self.mem.locs()[i];
-            let (bytes, high_water) = self.mem_gauge_syms(loc);
-            self.recorder.gauge(bytes, self.mem.in_use(loc));
-            self.recorder.gauge(high_water, self.mem.high_water(loc));
+        };
+        for &loc in self.mem.locs() {
+            let (bytes, high_water) = Self::mem_gauge_syms(&mut self.mem_syms, &mut batch, loc);
+            batch.gauge(bytes, self.mem.in_use(loc));
+            batch.gauge(high_water, self.mem.high_water(loc));
         }
     }
 
-    /// The gauge symbols of `loc`, formatted and interned only the first
-    /// time `loc` is published to the attached recorder.
-    fn mem_gauge_syms(&mut self, loc: Loc) -> (Sym, Sym) {
-        if let Some(&(_, bytes, high_water)) = self.mem_syms.iter().find(|e| e.0 == loc) {
+    /// The gauge symbols of `loc`, formatted and interned through `batch`
+    /// only the first time `loc` is published to the attached recorder.
+    fn mem_gauge_syms(
+        mem_syms: &mut Vec<(Loc, Sym, Sym)>,
+        batch: &mut Batch<'_>,
+        loc: Loc,
+    ) -> (Sym, Sym) {
+        if let Some(&(_, bytes, high_water)) = mem_syms.iter().find(|e| e.0 == loc) {
             return (bytes, high_water);
         }
         let label = loc.label();
-        let bytes = self.recorder.intern(&format!("mem.{label}.bytes"));
-        let high_water = self.recorder.intern(&format!("mem.{label}.high_water"));
-        self.mem_syms.push((loc, bytes, high_water));
+        let bytes = batch.intern(&format!("mem.{label}.bytes"));
+        let high_water = batch.intern(&format!("mem.{label}.high_water"));
+        mem_syms.push((loc, bytes, high_water));
         (bytes, high_water)
     }
 }

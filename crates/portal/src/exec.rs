@@ -245,11 +245,10 @@ impl Executor {
         // `launch` advanced the stream by the unpenalised time; charge the
         // abstraction overhead on top.
         self.sim.advance(target, dt - base);
-        let rec = self.sim.recorder();
-        if rec.is_enabled() {
-            rec.incr("portal.launches", 1.0);
-            rec.incr("portal.items", n as f64);
-            rec.incr("portal.overhead_s", dt - base);
+        if let Some(mut batch) = self.sim.recorder().batch() {
+            batch.incr("portal.launches", 1.0);
+            batch.incr("portal.items", n as f64);
+            batch.incr("portal.overhead_s", dt - base);
         }
         dt
     }
@@ -833,11 +832,10 @@ impl Executor {
             c += 1;
         }
         let dt = last.time - start;
-        let rec = self.sim.recorder();
-        if rec.is_enabled() {
-            rec.incr("portal.pipelines", 1.0);
-            rec.incr("portal.pipeline.chunks", c as f64);
-            rec.incr("portal.items", n as f64);
+        if let Some(mut batch) = self.sim.recorder().batch() {
+            batch.incr("portal.pipelines", 1.0);
+            batch.incr("portal.pipeline.chunks", c as f64);
+            batch.incr("portal.items", n as f64);
         }
         dt
     }

@@ -250,31 +250,28 @@ impl Pool {
         )
     }
 
-    /// Publish the per-allocation metrics (no-op when the recorder is the
-    /// default noop handle).
+    /// Publish the per-allocation metrics under one recorder lock (no-op
+    /// when the recorder is the default noop handle).
     fn publish(&self, g: &PoolInner, cost: f64, hit: bool, spilled: bool) {
-        if !self.recorder.is_enabled() {
+        let Some(mut batch) = self.recorder.batch() else {
             return;
-        }
-        self.recorder.incr("pool.allocs", 1.0);
+        };
+        batch.incr("pool.allocs", 1.0);
         if hit {
-            self.recorder.incr("pool.hits", 1.0);
+            batch.incr("pool.hits", 1.0);
         } else if spilled {
-            self.recorder.incr("pool.host_spills", 1.0);
+            batch.incr("pool.host_spills", 1.0);
         } else {
-            self.recorder.incr("pool.raw_allocs", 1.0);
+            batch.incr("pool.raw_allocs", 1.0);
         }
-        self.recorder.incr("pool.alloc_seconds", cost);
-        self.recorder.gauge(
+        batch.incr("pool.alloc_seconds", cost);
+        batch.gauge(
             "pool.hit_rate",
             g.stats.pool_hits as f64 / g.stats.allocs as f64,
         );
-        self.recorder
-            .gauge("pool.bytes_live", g.stats.bytes_live as f64);
-        self.recorder
-            .gauge("pool.bytes_cached", g.stats.bytes_cached as f64);
-        self.recorder
-            .gauge("pool.bytes_spilled", g.stats.bytes_spilled as f64);
+        batch.gauge("pool.bytes_live", g.stats.bytes_live as f64);
+        batch.gauge("pool.bytes_cached", g.stats.bytes_cached as f64);
+        batch.gauge("pool.bytes_spilled", g.stats.bytes_spilled as f64);
     }
 
     /// Return a block to the pool (it stays cached for reuse, and keeps

@@ -113,23 +113,38 @@ des-smoke:
 # build `perfbench` at <base_ref> (exported with `git archive`) and at the
 # working tree, run <pairs> pairs of <workload> runs for BENCHMARK.json's
 # `run_seconds`, alternating which side goes first, then print
-# `perfbench compare`. Extra arguments (e.g. `--seed 97`) go to every
-# run; the run outputs are kept in out/perf-pairs/<workload>/. A
-# space-separated list of workloads runs each in turn on one base build.
+# `perfbench compare`. A working tree with uncommitted changes runs from a
+# snapshot of its tracked and untracked-unignored files, so its runs
+# stamp a source digest (`src-...`) instead of the commit they are not.
+# Extra arguments (e.g. `--seed 97`) go to every run; the run outputs
+# are kept in out/perf-pairs/<workload>/. A space-separated list of
+# workloads runs each in turn on one base build.
 #   just perf-pairs HEAD~1 fleet-burst
 perf-pairs base_ref workload pairs="10" *args:
     #!/usr/bin/env bash
     set -euo pipefail
     secs=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
     base=$(mktemp -d "${TMPDIR:-/tmp}/perf-pairs.XXXXXX")
-    trap 'rm -rf "$base"' EXIT
+    head=.
+    trap 'rm -rf "$base"; if [ "$head" != . ]; then rm -rf "$head"; fi' EXIT
     git archive "{{base_ref}}" | tar -x -C "$base"
     CARGO_TARGET_DIR="$base/target" cargo build --release --quiet --offline \
         --manifest-path "$base/perfbench/Cargo.toml"
-    cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
+    head_bin=perfbench/target/release/perfbench
+    if [ -n "$(git status --porcelain)" ]; then
+        head=$(mktemp -d "${TMPDIR:-/tmp}/perf-pairs-head.XXXXXX")
+        # Files deleted in the tree are still listed; tar skips them.
+        git ls-files -z --cached --others --exclude-standard \
+            | tar --null --ignore-failed-read -T - -c | tar -x -C "$head"
+        CARGO_TARGET_DIR="$head/target" cargo build --release --quiet --offline \
+            --manifest-path "$head/perfbench/Cargo.toml"
+        head_bin=target/release/perfbench
+    else
+        cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
+    fi
     # Each side runs from its own tree, where it stamps its fingerprint.
     run() {
-        local dir=. bin=perfbench/target/release/perfbench
+        local dir=$head bin=$head_bin
         if [ "$1" = base ]; then dir=$base bin=target/release/perfbench; fi
         (cd "$dir" && "$bin" --workload "$workload" --seconds "$secs" {{args}}) \
             > "$runs/$1-$2.txt"
@@ -142,7 +157,7 @@ perf-pairs base_ref workload pairs="10" *args:
             echo "$workload: pair $i of {{pairs}} done" >&2
         done
         echo "== $workload"
-        perfbench/target/release/perfbench compare --base "$runs"/base-*.txt --head "$runs"/head-*.txt
+        "$head/$head_bin" compare --base "$runs"/base-*.txt --head "$runs"/head-*.txt
     done
 
 # `perf-pairs` over every workload BENCHMARK.json declares, against one

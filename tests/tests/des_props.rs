@@ -182,6 +182,57 @@ proptest! {
     }
 }
 
+/// Times of one epoch each at the default 1 s width, so a bucket drawn
+/// from one list mixes both zeros, negatives, the infinities, NaN and
+/// (drawn twice) equal-time `seq` ties: epoch 0, epoch -1, the terminal
+/// epoch (where NaN, `+inf` and a saturating 1e300 radix), and the first
+/// epoch.
+const EPOCH_ZERO: [f64; 4] = [-0.0, 0.0, 0.25, 0.5];
+const EPOCH_MINUS_ONE: [f64; 3] = [-1.0, -0.75, -0.5];
+const TERMINAL: [f64; 3] = [f64::INFINITY, f64::NAN, 1e300];
+const FIRST: [f64; 2] = [f64::NEG_INFINITY, -1e300];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Promotion ranks a bucket of 2 to 8 records and sorts a larger one.
+    /// For every bucket size from 1 to 9, a queue holds that many records
+    /// in each of seven epochs — the first, -1, 0, three later finite ones
+    /// and the terminal one (past the window, so it is promoted from the
+    /// overflow) — pushed in shuffled order, so buckets also form from a
+    /// head sent back to the ring. Every pop must match the sorted
+    /// reference model, payloads included.
+    #[test]
+    fn promoted_buckets_of_every_size_match_the_sorted_model(seed in 0u64..u64::MAX) {
+        let mut rng = SplitMix(seed);
+        for size in 1..=9usize {
+            let mut times = Vec::new();
+            for _ in 0..size {
+                times.push(FIRST[rng.below(FIRST.len())]);
+                times.push(EPOCH_ZERO[rng.below(EPOCH_ZERO.len())]);
+                times.push(EPOCH_MINUS_ONE[rng.below(EPOCH_MINUS_ONE.len())]);
+                times.push(TERMINAL[rng.below(TERMINAL.len())]);
+                for epoch in 1..=3 {
+                    times.push(f64::from(epoch) + [0.0, 0.5][rng.below(2)]);
+                }
+            }
+            for i in (1..times.len()).rev() {
+                times.swap(i, rng.below(i + 1));
+            }
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut model = SortedModel::default();
+            let mut payload = 0u32;
+            for t in times {
+                push_both(&mut q, &mut model, &mut payload, t);
+            }
+            while let Some(got) = q.pop() {
+                prop_assert_eq!(Some(got), model.0.pop(), "bucket size {}", size);
+            }
+            prop_assert!(model.0.is_empty(), "queue drained early");
+        }
+    }
+}
+
 /// Pushes `t` on both the queue and the model.
 fn push_both(q: &mut EventQueue<u32>, model: &mut SortedModel, payload: &mut u32, t: f64) {
     let key = q.push(t, *payload);
