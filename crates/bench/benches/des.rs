@@ -2,49 +2,30 @@
 //! hierarchical allreduce expressed as events, swept over simulated rank
 //! counts up to 1M. After the criterion cells a direct throughput probe
 //! prints `des.ranks_per_s.r<N> <value>` lines — simulated ranks pushed
-//! and popped per host wall-second; the EXPERIMENTS.md target is ≥1M
-//! ranks/s at the 1M-rank point on a release build.
+//! and popped per host wall-second — and asserts the release floor of
+//! 100k ranks/s; the EXPERIMENTS.md target is ≥1M ranks/s at the 1M-rank
+//! point on a release build.
 //!
 //! The warm jittered batch (`des/jitter_batch_r4096`) is the shape one
 //! simulated training step drives: 4,096 distinct rank-ready times inside
 //! 5 µs, pushed in shuffled order into a kernel reused across rounds, so
 //! the calendar width has already narrowed. Its probe prints
 //! `des.ns_per_event.jitter_r4096 <ns>` (one push plus one pop per
-//! event), and a counting global allocator asserts the warm rounds make
-//! 0 allocations per event.
+//! event).
 //!
 //! The fleet-shaped churn (`des/fleet_churn`) is the sparse timeline the
 //! cluster workloads drive: 1,500 pending events spread over half an hour
 //! of simulated time at the default 1 s width, each pop scheduling a
 //! replacement. Its probe prints `des.ns_per_event.churn <ns>` (one pop
-//! plus one push per event) and asserts 0 allocations per warm pass.
+//! plus one push per event).
+//!
+//! Both warm shapes allocate nothing; `tests/tests/launch_alloc.rs`
+//! asserts that under `cargo test`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetsim::des::EventKernel;
-
-/// System allocator wrapper that counts allocations, so the bench can
-/// assert the warm jittered rounds stay off the allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Ranks per host (the sierra preset's GPU count).
 const RANKS_PER_HOST: usize = 4;
@@ -107,8 +88,14 @@ fn bench_rank_sweep(c: &mut Criterion) {
     }
 }
 
+/// Simulated ranks per host wall-second the release build must sustain
+/// at every probed rank count (conservative: ~1.4M/s on shared CI-class
+/// hosts, EXPERIMENTS.md records the peak).
+const RANKS_PER_S_FLOOR: f64 = 100_000.0;
+
 /// The headline gauge: simulated ranks per host wall-second, printed in
-/// the greppable `des.ranks_per_s.r<N> <value>` form.
+/// the greppable `des.ranks_per_s.r<N> <value>` form and held to
+/// [`RANKS_PER_S_FLOOR`].
 fn bench_ranks_per_s(c: &mut Criterion) {
     for ranks in [65536usize, 1 << 20] {
         let rounds = if ranks >= 1 << 20 { 3 } else { 10 };
@@ -120,6 +107,10 @@ fn bench_ranks_per_s(c: &mut Criterion) {
         let wall = start.elapsed().as_secs_f64().max(1e-12);
         let rps = (ranks * rounds) as f64 / wall;
         eprintln!("des.ranks_per_s.r{ranks} {rps:.0}  ({popped} events in {wall:.3} s)");
+        assert!(
+            rps >= RANKS_PER_S_FLOOR,
+            "des.ranks_per_s.r{ranks} {rps:.0} is below the {RANKS_PER_S_FLOOR} floor"
+        );
     }
     // Keep the harness shape: one trivial criterion cell so the group is
     // never empty even if the sweep above is trimmed.
@@ -175,8 +166,8 @@ fn jitter_round(kernel: &mut EventKernel<u32>, delays: &[f64]) -> u64 {
     popped
 }
 
-/// The warm jittered batch: the criterion cell, the greppable
-/// ns-per-event probe, and the allocation check.
+/// The warm jittered batch: the criterion cell and the greppable
+/// ns-per-event probe.
 fn bench_jitter_batch(c: &mut Criterion) {
     let delays = jitter_delays();
     let mut kernel: EventKernel<u32> = EventKernel::new();
@@ -188,23 +179,16 @@ fn bench_jitter_batch(c: &mut Criterion) {
     });
 
     let rounds = 200;
-    let before = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
     let mut events = 0u64;
     for _ in 0..rounds {
         events += jitter_round(&mut kernel, &delays);
     }
     let wall = start.elapsed().as_secs_f64();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(events, (rounds * JITTER_RANKS) as u64);
     eprintln!(
         "des.ns_per_event.jitter_r{JITTER_RANKS} {:.1}  ({events} events in {wall:.3} s)",
         wall * 1e9 / events as f64
-    );
-    eprintln!("des/jitter_steady_state_allocs: {allocs} allocations across {events} events");
-    assert_eq!(
-        allocs, 0,
-        "warm jittered rounds must stay off the allocator: {allocs} allocs / {events} events"
     );
 }
 
@@ -244,8 +228,8 @@ fn churn(kernel: &mut EventKernel<u32>, durations: &[f64]) -> u64 {
     CHURN_EVENTS as u64
 }
 
-/// The fleet-shaped churn: the criterion cell, the greppable
-/// ns-per-event probe, and the allocation check.
+/// The fleet-shaped churn: the criterion cell and the greppable
+/// ns-per-event probe.
 fn bench_fleet_churn(c: &mut Criterion) {
     let durations = churn_durations();
     let mut kernel: EventKernel<u32> = EventKernel::new();
@@ -257,22 +241,15 @@ fn bench_fleet_churn(c: &mut Criterion) {
     });
 
     let passes = 5;
-    let before = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
     let mut events = 0u64;
     for _ in 0..passes {
         events += churn(&mut kernel, &durations);
     }
     let wall = start.elapsed().as_secs_f64();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     eprintln!(
         "des.ns_per_event.churn {:.1}  ({events} events in {wall:.3} s)",
         wall * 1e9 / events as f64
-    );
-    eprintln!("des/churn_steady_state_allocs: {allocs} allocations across {events} events");
-    assert_eq!(
-        allocs, 0,
-        "warm churn passes must stay off the allocator: {allocs} allocs / {events} events"
     );
 }
 

@@ -6,41 +6,18 @@
 //! * **Recorder micro-benches** — `record_span`/`incr` with `&str` names
 //!   vs pre-interned `Sym` names (the `Sim::launch_on` fast path), through
 //!   the same methods, plus the `hot_list`/`render_timeline` sinks on a populated
-//!   recorder. A counting global allocator reports allocations per
-//!   span on the steady-state interned path (expected: 0 once the
-//!   span vector has grown to capacity).
+//!   recorder. That the warm interned path allocates nothing is asserted
+//!   under `cargo test` (`tests/tests/launch_alloc.rs`).
 //! * **Registry end-to-end** — a four-experiment slice of the paper
 //!   registry through `run_ids_parallel` at jobs=1 vs jobs=4. On a
 //!   multi-core host the jobs=4 number is the wall-clock win; the
 //!   output bytes are identical either way (see
 //!   `tests/tests/golden_determinism.rs`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetsim::obs::{Recorder, SpanKind};
-
-/// System allocator wrapper that counts allocations, so the bench can
-/// report allocs/span on the interned steady-state path.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn configure() -> Criterion {
     Criterion::default()
@@ -83,28 +60,6 @@ fn bench_interned_path(c: &mut Criterion) {
             }
         })
     });
-
-    // Steady state: buffers grown, symbols interned — the loop body
-    // should not touch the allocator at all.
-    rec.reset();
-    for i in 0..SPANS_PER_ITER {
-        let t = i as f64;
-        rec.record_span(name, SpanKind::Kernel, track, t, t + 1.0);
-        rec.incr(flops, 1.0e9);
-    }
-    rec.reset();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 0..SPANS_PER_ITER {
-        let t = i as f64;
-        rec.record_span(name, SpanKind::Kernel, track, t, t + 1.0);
-        rec.incr(flops, 1.0e9);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    eprintln!(
-        "obs/steady_state_allocs: {allocs} allocations across {SPANS_PER_ITER} interned \
-         spans + counters ({:.3} allocs/span)",
-        allocs as f64 / SPANS_PER_ITER as f64
-    );
 }
 
 /// The render sinks over a realistically-populated recorder.

@@ -174,20 +174,8 @@ fn run_matrix_cmd(reg: &Registry, opts: &Opts) {
     let matrix = reg.run_matrix(machines, opts.jobs, &opts.params);
     let mut bad = false;
     for col in &matrix.columns {
-        let (ran, reused, failed) = col.tally();
-        let phantom = col.phantom_hits();
-        bad |= failed > 0 || phantom > 0.0;
-        if opts.json {
-            println!(
-                "{{\"machine\":\"{}\",\"ran\":{ran},\"reused\":{reused},\"failed\":{failed},\"phantom_link_hits\":{phantom}}}",
-                col.machine
-            );
-        } else {
-            println!(
-                "{:<14} ran {ran:>2}  reused {reused:>2}  failed {failed}  phantom_link_hits {phantom}",
-                col.machine
-            );
-        }
+        bad |= col.tally().2 > 0 || col.phantom_hits() > 0.0;
+        println!("{}", col.summary(opts.json));
         for cell in &col.cells {
             if cell.is_err() {
                 eprintln!("  cell '{}' failed on {}", cell.id(), col.machine);

@@ -343,6 +343,18 @@ mod tests {
     }
 
     #[test]
+    fn a_different_seed_changes_the_policy_shootout() {
+        let tables = |params: &ExpParams| {
+            icoe::Report::new(cluster_policies(&mut Recorder::enabled(), params)).tables_json()
+        };
+        assert_ne!(
+            tables(&ExpParams::default()),
+            tables(&ExpParams::new().with_seed(7)),
+            "seed 7 must draw a different job stream"
+        );
+    }
+
+    #[test]
     fn shootout_keeps_at_least_two_policies_on_the_frontier() {
         // The acceptance criterion of PR 6: the spike scenario must show a
         // genuine SLA-vs-energy trade-off, not one policy dominating all.

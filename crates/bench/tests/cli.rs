@@ -1,6 +1,7 @@
 //! End-to-end tests of the `experiments` binary: structured JSON output
 //! and the `BENCH_<id>.json` summary sink (ISSUE acceptance criteria).
 
+use std::path::Path;
 use std::process::Command;
 
 use hetsim::obs::json;
@@ -191,8 +192,9 @@ fn unknown_id_exits_nonzero() {
     assert!(!out.status.success());
 }
 
-/// Zero out every `"elapsed_s":<number>` field — wall time is the one
-/// legitimately nondeterministic byte sequence in a document stream.
+/// Zero out every `"elapsed_s":<number>` field as the golden documents
+/// do — wall time is the one legitimately nondeterministic byte sequence
+/// in a document stream.
 fn normalize_elapsed(s: &str) -> String {
     const KEY: &str = "\"elapsed_s\":";
     let mut out = String::with_capacity(s.len());
@@ -204,49 +206,39 @@ fn normalize_elapsed(s: &str) -> String {
             .unwrap_or(tail.len());
         out.push_str(&rest[..at]);
         out.push_str(KEY);
-        out.push('0');
+        out.push_str(&json::num(0.0));
         rest = &tail[end..];
     }
     out.push_str(rest);
     out
 }
 
-/// ISSUE 5 acceptance: `all --json --jobs 4` emits exactly one document
-/// per registered experiment, in paper order, and — modulo wall time —
-/// byte-identical to the serial `--jobs 1` stream.
+/// `all --json --jobs 4` emits exactly one document per registered
+/// experiment, in paper order, each — modulo wall time — byte-identical
+/// to its committed golden under `tests/golden/`, which is the serial
+/// (`--jobs 1`) document.
 #[test]
 fn all_json_jobs4_is_byte_identical_to_jobs1_in_paper_order() {
-    let run = |jobs: &str| {
-        let out = bin()
-            .args(["all", "--json", "--jobs", jobs])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "--jobs {jobs} exited nonzero: {out:?}"
-        );
-        String::from_utf8(out.stdout).expect("utf8")
-    };
-    let par = run("4");
-    let ser = run("1");
-
-    // One document per experiment, in registration (= paper) order.
-    let docs: Vec<&str> = par.lines().filter(|l| !l.is_empty()).collect();
+    let out = bin()
+        .args(["all", "--json", "--jobs", "4"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "--jobs 4 exited nonzero: {out:?}");
+    let stream = normalize_elapsed(&String::from_utf8(out.stdout).expect("utf8"));
+    let docs: Vec<&str> = stream.lines().filter(|l| !l.is_empty()).collect();
     assert_eq!(docs.len(), bench::ALL.len(), "one JSON document per id");
-    for (line, &id) in docs.iter().zip(bench::ALL) {
-        let doc = json::parse(line).unwrap_or_else(|e| panic!("{id}: bad JSON: {e}"));
-        assert_eq!(
-            doc.get("experiment").and_then(json::Value::as_str),
-            Some(id),
-            "parallel stream out of paper order"
+    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    for (doc, &id) in docs.iter().zip(bench::ALL) {
+        let path = golden_dir.join(format!("{id}.json"));
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+        assert!(
+            *doc == golden.trim_end_matches('\n'),
+            "document {id} of the --jobs 4 stream differs from {} (stale golden? \
+             regenerate with UPDATE_GOLDEN=1 cargo test -p xtests --test golden_determinism)",
+            path.display()
         );
     }
-
-    let (par, ser) = (normalize_elapsed(&par), normalize_elapsed(&ser));
-    assert_eq!(
-        par, ser,
-        "--jobs 4 output differs from --jobs 1 beyond wall time"
-    );
 }
 
 #[test]

@@ -402,6 +402,16 @@ mod tests {
             "unknown preset"
         );
         assert_eq!(cli, built, "failed sets leave params untouched");
+
+        // The defaults spelled out are the defaults: the golden path.
+        let mut explicit = ExpParams::default();
+        explicit.set_pair("seed=42").expect("seed parses");
+        explicit.set_pair("scale=1.0").expect("scale parses");
+        assert_eq!(explicit, ExpParams::default());
+        assert_eq!(
+            ExpParams::new().with_seed(42).with_scale(1.0),
+            ExpParams::default()
+        );
     }
 
     #[test]

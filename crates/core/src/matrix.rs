@@ -56,6 +56,25 @@ impl MachineColumn {
             .sum()
     }
 
+    /// The column's one-line summary, as `experiments matrix` prints it:
+    /// machine, cells ran and reused, failed cells, phantom-route hits.
+    /// `json` gives the same fields as one JSON object.
+    pub fn summary(&self, json: bool) -> String {
+        let (ran, reused, failed) = self.tally();
+        let phantom = self.phantom_hits();
+        if json {
+            format!(
+                "{{\"machine\":\"{}\",\"ran\":{ran},\"reused\":{reused},\"failed\":{failed},\"phantom_link_hits\":{phantom}}}",
+                self.machine
+            )
+        } else {
+            format!(
+                "{:<14} ran {ran:>2}  reused {reused:>2}  failed {failed}  phantom_link_hits {phantom}",
+                self.machine
+            )
+        }
+    }
+
     /// (ran, reused, failed) cell counts.
     pub fn tally(&self) -> (usize, usize, usize) {
         let ran = self

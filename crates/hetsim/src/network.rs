@@ -174,6 +174,22 @@ struct NetState {
 /// copy-engine tracks, not one per allocation).
 const NIC_SPAN_TRACKS: usize = 8;
 
+/// The track names of the ranks below [`NIC_SPAN_TRACKS`].
+const NIC_TRACKS: [&str; NIC_SPAN_TRACKS] = [
+    "nic0.inj", "nic1.inj", "nic2.inj", "nic3.inj", "nic4.inj", "nic5.inj", "nic6.inj", "nic7.inj",
+];
+
+/// A collective's span name, by [`CollectiveKind`] in declaration order,
+/// then by [`AllReduceAlgo`]: flat, hierarchical.
+const COLLECTIVE_SPANS: [[&str; 2]; 6] = [
+    ["allreduce", "allreduce.hier"],
+    ["alltoall", "alltoall.hier"],
+    ["reduce", "reduce.hier"],
+    ["treereduce", "treereduce.hier"],
+    ["broadcast", "broadcast.hier"],
+    ["gather", "gather.hier"],
+];
+
 /// The operation kinds `net.<kind>` counts with a pre-interned name:
 /// point-to-point messages, then every [`CollectiveKind`].
 const NET_KINDS: [&str; 7] = [
@@ -186,8 +202,9 @@ const NET_KINDS: [&str; 7] = [
     "gather",
 ];
 
-/// Pre-interned `net.*` counter names, rebuilt whenever a recorder is
-/// attached; inert ([`Sym::NOOP`]) when tracing is off.
+/// Pre-interned `net.*` counter names, NIC track names and collective
+/// span names, rebuilt whenever a recorder is attached; inert
+/// ([`Sym::NOOP`]) when tracing is off.
 #[derive(Debug, Clone, Copy)]
 struct NetSyms {
     ops: Sym,
@@ -195,16 +212,40 @@ struct NetSyms {
     seconds: Sym,
     /// `net.<kind>` for each of [`NET_KINDS`], in order.
     kinds: [Sym; NET_KINDS.len()],
+    /// [`NIC_TRACKS`], in order.
+    nics: [Sym; NIC_SPAN_TRACKS],
+    /// [`COLLECTIVE_SPANS`], in order.
+    spans: [[Sym; 2]; COLLECTIVE_SPANS.len()],
 }
 
 impl NetSyms {
+    /// Every name inert, as a disabled recorder has them.
+    const NOOP: NetSyms = NetSyms {
+        ops: Sym::NOOP,
+        bytes: Sym::NOOP,
+        seconds: Sym::NOOP,
+        kinds: [Sym::NOOP; NET_KINDS.len()],
+        nics: [Sym::NOOP; NIC_SPAN_TRACKS],
+        spans: [[Sym::NOOP; 2]; COLLECTIVE_SPANS.len()],
+    };
+
     fn for_recorder(rec: &Recorder) -> NetSyms {
+        let Some(mut b) = rec.batch() else {
+            return NetSyms::NOOP;
+        };
         NetSyms {
-            ops: rec.intern("net.ops"),
-            bytes: rec.intern("net.bytes"),
-            seconds: rec.intern("net.seconds"),
-            kinds: NET_KINDS.map(|kind| rec.intern(&format!("net.{kind}"))),
+            ops: b.intern("net.ops"),
+            bytes: b.intern("net.bytes"),
+            seconds: b.intern("net.seconds"),
+            kinds: NET_KINDS.map(|kind| b.intern(&format!("net.{kind}"))),
+            nics: NIC_TRACKS.map(|track| b.intern(track)),
+            spans: COLLECTIVE_SPANS.map(|names| names.map(|name| b.intern(name))),
         }
+    }
+
+    /// The span name of `kind` under `algo`.
+    fn span(&self, algo: AllReduceAlgo, kind: CollectiveKind) -> Sym {
+        self.spans[kind as usize][algo as usize]
     }
 }
 
@@ -224,7 +265,8 @@ pub struct Network {
     /// clocks.
     state: Mutex<NetState>,
     recorder: Recorder,
-    /// The `net.*` counter names, interned once per attached recorder.
+    /// The `net.*` counter, NIC track and collective span names,
+    /// interned once per attached recorder.
     syms: NetSyms,
 }
 
@@ -270,7 +312,7 @@ impl Network {
             straggler: None,
             state: Mutex::new(NetState::default()),
             recorder: Recorder::noop(),
-            syms: NetSyms::for_recorder(&Recorder::noop()),
+            syms: NetSyms::NOOP,
         }
     }
 
@@ -288,7 +330,7 @@ impl Network {
     }
 
     /// Attach an observability recorder in place, interning the `net.*`
-    /// counter names on it.
+    /// counter, NIC track and collective span names on it.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.syms = NetSyms::for_recorder(&recorder);
         self.recorder = recorder;
@@ -555,7 +597,7 @@ impl Network {
             self.recorder.record_span(
                 format!("p2p:{src}->{dst}"),
                 SpanKind::Transfer,
-                format!("nic{src}.inj"),
+                self.syms.nics[src],
                 start,
                 end,
             );
@@ -610,18 +652,9 @@ impl Network {
             None
         };
         if let Some(mut batch) = batch {
-            let name = match algo {
-                AllReduceAlgo::Flat => kind.as_str().to_string(),
-                AllReduceAlgo::Hierarchical => format!("{}.hier", kind.as_str()),
-            };
-            for rank in 0..self.ranks.min(NIC_SPAN_TRACKS) {
-                batch.record_span(
-                    name.as_str(),
-                    SpanKind::Collective,
-                    format!("nic{rank}.inj"),
-                    start,
-                    end,
-                );
+            let name = self.syms.span(algo, kind);
+            for &track in &self.syms.nics[..self.ranks.min(NIC_SPAN_TRACKS)] {
+                batch.record_span(name, SpanKind::Collective, track, start, end);
             }
         }
         (start, dur, end)
@@ -632,6 +665,21 @@ impl Network {
 mod tests {
     use super::*;
     use crate::spec::{LinkKind, LinkSpec};
+
+    #[test]
+    fn interned_names_match_the_kinds_and_ranks_they_stand_for() {
+        for &kind in CollectiveKind::ALL {
+            let [flat, hier] = COLLECTIVE_SPANS[kind as usize];
+            assert_eq!(flat, kind.as_str());
+            assert_eq!(
+                hier,
+                format!("{}.{}", kind.as_str(), AllReduceAlgo::Hierarchical.as_str())
+            );
+        }
+        for (rank, track) in NIC_TRACKS.iter().enumerate() {
+            assert_eq!(*track, format!("nic{rank}.inj"));
+        }
+    }
 
     fn net(ranks: usize) -> Network {
         Network::new(

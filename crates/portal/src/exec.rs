@@ -1,5 +1,7 @@
 //! Execution policies and the `forall` engine.
 
+use std::ops::Range;
+
 use hetsim::obs::Recorder;
 use hetsim::{CostTerms, KernelProfile, LaunchClass, Loc, Sim, StreamId, Target, TransferKind};
 
@@ -314,33 +316,66 @@ impl Executor {
     }
 }
 
+/// The contiguous chunks every parallel loop of this crate splits `0..n`
+/// into: `threads` chunks of `n.div_ceil(threads)` items (the trailing
+/// ones may be empty), or `None` — run serially — for one thread or fewer
+/// than `cutoff` items.
+pub(crate) fn chunks(
+    n: usize,
+    threads: usize,
+    cutoff: usize,
+) -> Option<impl Iterator<Item = Range<usize>> + Clone> {
+    let threads = threads.max(1).min(n.max(1));
+    if threads <= 1 || n < cutoff {
+        return None;
+    }
+    let chunk = n.div_ceil(threads);
+    Some((0..threads).map(move |t| (t * chunk).min(n)..((t + 1) * chunk).min(n)))
+}
+
+/// The crate's one fork-join: `f(part)` for each part on its own scoped
+/// thread, the results in part order. A worker's panic resumes on the
+/// caller.
+pub(crate) fn fork_join<P, R, F>(parts: impl Iterator<Item = P>, f: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(P) -> R + Sync,
+{
+    let f = &f;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = parts.map(|p| s.spawn(move || f(p))).collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
+/// The non-empty `chunks` of `out`, each with its index range.
+pub(crate) fn chunks_mut<T>(
+    out: &mut [T],
+    chunks: impl Iterator<Item = Range<usize>>,
+) -> impl Iterator<Item = (Range<usize>, &mut [T])> {
+    let mut rest = out;
+    chunks.filter(|r| !r.is_empty()).map(move |r| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+        rest = tail;
+        (r, head)
+    })
+}
+
 /// Run `f(i)` for all i in 0..n across `threads` host threads.
 pub fn run_parallel<F>(n: usize, threads: usize, f: &F)
 where
     F: Fn(usize) + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        for i in 0..n {
-            f(i);
+    match chunks(n, threads, 1024) {
+        None => (0..n).for_each(f),
+        Some(chunks) => {
+            fork_join(chunks.filter(|r| !r.is_empty()), |r| r.for_each(f));
         }
-        return;
     }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            s.spawn(move || {
-                for i in lo..hi {
-                    f(i);
-                }
-            });
-        }
-    });
 }
 
 /// Split `out` into per-thread chunks and run `f(base_index, chunk)`.
@@ -349,26 +384,12 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = out.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        f(0, out);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut base = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let b = base;
-            let fr = &f;
-            s.spawn(move || fr(b, head));
-            rest = tail;
-            base += take;
+    match chunks(out.len(), threads, 1024) {
+        None => f(0, out),
+        Some(chunks) => {
+            fork_join(chunks_mut(out, chunks), |(r, part)| f(r.start, part));
         }
-    });
+    }
 }
 
 /// Deterministic parallel sum of `f(i)` for i in 0..n.
@@ -379,24 +400,15 @@ pub fn reduce_parallel<F>(n: usize, threads: usize, f: &F) -> f64
 where
     F: Fn(usize) -> f64 + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
+    let Some(chunks) = chunks(n, threads, 1024) else {
         return (0..n).map(f).sum();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut partials = vec![0.0f64; threads];
-    std::thread::scope(|s| {
-        for (t, slot) in partials.iter_mut().enumerate() {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            s.spawn(move || {
-                let mut acc = 0.0;
-                for i in lo..hi {
-                    acc += f(i);
-                }
-                *slot = acc;
-            });
+    };
+    let partials = fork_join(chunks, |r| {
+        let mut acc = 0.0;
+        for i in r {
+            acc += f(i);
         }
+        acc
     });
     partials.iter().sum()
 }

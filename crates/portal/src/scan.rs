@@ -2,63 +2,36 @@
 //! family used by the iCoE codes: CFL reductions in CleverLeaf/SW4, max
 //! errors in solvers, compaction scans in MD neighbor builds).
 
+use crate::exec::{chunks, chunks_mut, fork_join};
+
 /// Deterministic parallel exclusive prefix sum (Blelloch two-pass over
 /// chunks). `out[i] = sum of in[0..i]`; returns the total.
 pub fn exclusive_scan(input: &[f64], out: &mut [f64], threads: usize) -> f64 {
     assert_eq!(input.len(), out.len());
     let n = input.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 || n < 2048 {
+    let Some(chunks) = chunks(n, threads, 2048) else {
         let mut acc = 0.0;
         for i in 0..n {
             out[i] = acc;
             acc += input[i];
         }
         return acc;
-    }
-    let chunk = n.div_ceil(threads);
+    };
     // Pass 1: per-chunk sums.
-    let mut sums = vec![0.0f64; threads];
-    std::thread::scope(|s| {
-        for (t, slot) in sums.iter_mut().enumerate() {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            let inp = &input[lo.min(n)..hi];
-            s.spawn(move || {
-                *slot = inp.iter().sum();
-            });
-        }
-    });
+    let sums = fork_join(chunks.clone(), |r| input[r].iter().sum::<f64>());
     // Chunk offsets (serial over `threads` entries).
-    let mut offsets = vec![0.0f64; threads];
+    let mut offsets = vec![0.0f64; sums.len()];
     let mut acc = 0.0;
-    for t in 0..threads {
-        offsets[t] = acc;
-        acc += sums[t];
+    for (offset, sum) in offsets.iter_mut().zip(&sums) {
+        *offset = acc;
+        acc += sum;
     }
     // Pass 2: local scans with offsets.
-    std::thread::scope(|s| {
-        let mut rest = &mut out[..];
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let (head, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let inp = &input[lo..hi];
-            let base = offsets[t];
-            s.spawn(move || {
-                let mut local = base;
-                for (o, &v) in head.iter_mut().zip(inp) {
-                    *o = local;
-                    local += v;
-                }
-            });
+    fork_join(chunks_mut(out, chunks).zip(offsets), |((r, part), base)| {
+        let mut local = base;
+        for (o, &v) in part.iter_mut().zip(&input[r]) {
+            *o = local;
+            local += v;
         }
     });
     acc
@@ -85,24 +58,15 @@ fn reduce_by<F>(n: usize, threads: usize, f: &F, init: f64, op: fn(f64, f64) -> 
 where
     F: Fn(usize) -> f64 + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
+    let Some(chunks) = chunks(n, threads, 1024) else {
         return (0..n).map(f).fold(init, op);
-    }
-    let chunk = n.div_ceil(threads);
-    let mut partials = vec![init; threads];
-    std::thread::scope(|s| {
-        for (t, slot) in partials.iter_mut().enumerate() {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            s.spawn(move || {
-                let mut acc = init;
-                for i in lo..hi {
-                    acc = op(acc, f(i));
-                }
-                *slot = acc;
-            });
+    };
+    let partials = fork_join(chunks, |r| {
+        let mut acc = init;
+        for i in r {
+            acc = op(acc, f(i));
         }
+        acc
     });
     partials.into_iter().fold(init, op)
 }

@@ -4,7 +4,7 @@
 default: ci
 
 # Everything CI runs, in order.
-ci: build test clippy
+ci: build test fmt clippy bench-quick perfbench-oracles
 
 build:
     cargo build --workspace --release --offline
@@ -35,21 +35,6 @@ um-smoke:
 net-smoke:
     cargo run --release --offline -p bench --bin experiments -- collective-overlap --json --timeline --bench-dir out
 
-# Parallel-engine conformance: `all --jobs 4` must be byte-identical to
-# `--jobs 1` (modulo the per-document wall-clock field), in paper order.
-par-smoke:
-    #!/usr/bin/env bash
-    set -euo pipefail
-    cargo build --release --offline -p bench --bin experiments
-    bin=target/release/experiments
-    time "$bin" all --json --jobs 4 > out_par.json
-    time "$bin" all --json --jobs 1 > out_ser.json
-    sed -E 's/"elapsed_s":[0-9.eE+-]+/"elapsed_s":0/g' out_par.json > out_par.norm
-    sed -E 's/"elapsed_s":[0-9.eE+-]+/"elapsed_s":0/g' out_ser.json > out_ser.norm
-    cmp out_par.norm out_ser.norm
-    echo "parallel output byte-identical to serial"
-    rm -f out_par.json out_ser.json out_par.norm out_ser.norm
-
 # The auto-tuner rediscovering the paper's crossovers (pipeline chunks,
 # hierarchical allreduce at 64 nodes, the UM knee) from the cost model.
 tune-smoke:
@@ -78,35 +63,45 @@ cluster-smoke:
 bench:
     cargo bench --workspace --offline
 
+# CI's bench steps: every bench compiles, then the cluster and des benches
+# run quick and assert the release-only bars (the serving loop's < 0.01
+# allocs/event, >= 100k placed jobs/s, >= 100k simulated ranks/s).
+bench-quick:
+    cargo bench --workspace --offline --no-run
+    ICOE_BENCH_QUICK=1 cargo bench --offline -p bench --bench cluster --bench des
+
+# CI's repository-benchmark steps: perfbench's self-tests, then one short
+# run per workload, each pass checked by the workload's oracle.
+perfbench-oracles:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    mkdir -p out
+    for w in fleet-steady fleet-burst node-step; do
+        cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seconds 1 > "out/perfbench-$w.txt"
+        tail -n 1 "out/perfbench-$w.txt"
+        tail -n 1 "out/perfbench-$w.txt" | grep -q '"correct": true,'
+        tail -n 1 "out/perfbench-$w.txt" | grep -q '"failed": 0,'
+    done
+
 # Observability hot-path + parallel-engine benches only (quick mode).
 bench-recorder:
     ICOE_BENCH_QUICK=1 cargo bench --offline -p bench --bench recorder
 
 # The incremental cluster-serving loop: the criterion sweep (jobs x fleet
-# x policy), the 1M-job FCFS acceptance probe, and the steady-state
-# allocation audit, then the registered throughput experiment with its
-# wall-clock jobs-per-second floor on stderr.
+# x policy), the 1M-job FCFS acceptance probe (asserting >= 100k placed
+# jobs/s) and the steady-state allocation audit, then the registered
+# throughput experiment with its wall-clock jobs-per-second on stderr.
 cluster-bench:
-    #!/usr/bin/env bash
-    set -euo pipefail
     cargo bench --offline -p bench --bench cluster
-    cargo run --release --offline -p bench --bin experiments -- cluster-throughput --json --bench-dir out 2> ct.txt > /dev/null
-    grep "cluster.jobs_per_s" ct.txt
-    jps=$(awk '/^cluster.jobs_per_s / { print $2 }' ct.txt)
-    awk -v j="$jps" 'BEGIN { exit !(j >= 100000) }'
-    rm -f ct.txt
+    cargo run --release --offline -p bench --bin experiments -- cluster-throughput --json --bench-dir out > /dev/null
 
 # The unified des kernel's scale probe: deterministic simulated metrics in
 # the document, wall-clock ranks-per-host-second on stderr, plus the
-# criterion rank sweep to 1M ranks.
+# criterion rank sweep to 1M ranks (its probe asserts >= 100k ranks/s).
 des-smoke:
-    #!/usr/bin/env bash
-    set -euo pipefail
-    cargo run --release --offline -p bench --bin experiments -- rank-throughput --json --bench-dir out 2> des.txt > /dev/null
-    grep "des.ranks_per_s" des.txt
-    rps=$(awk '/^des.ranks_per_s / { print $2 }' des.txt)
-    awk -v r="$rps" 'BEGIN { exit !(r >= 100000) }'
-    rm -f des.txt
+    cargo run --release --offline -p bench --bin experiments -- rank-throughput --json --bench-dir out > /dev/null
     cargo bench --offline -p bench --bench des
 
 # A/B the repository benchmark the way a performance claim is judged:

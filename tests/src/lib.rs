@@ -17,6 +17,11 @@
 //! simulator fixes), so it is only callable on streams whose ids equal
 //! slice positions — the shape `job_stream` produces and the conformance
 //! suite draws.
+//!
+//! [`golden`] reads the committed golden documents every registry pass
+//! is compared with.
+
+pub mod golden;
 
 use icoe::cluster::{ClusterConfig, ClusterJob, ClusterMetrics, MachineClass};
 use icoe::hetsim::des::EventKernel;

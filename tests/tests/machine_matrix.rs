@@ -1,20 +1,22 @@
-//! Cross-machine portability smoke (ISSUE 9 satellite): the registry must
-//! run to completion on **every** machine preset — not just the five
-//! MATRIX columns — with no panics and no phantom-route hits, and the
-//! `sierra` baseline column must be bitwise-identical to the committed
-//! golden documents (machine parameterisation is an extension, never a
-//! perturbation, of the single-machine paths).
+//! Cross-machine portability smoke: the registry must run to completion
+//! on **every** machine preset — not just the five MATRIX columns — with
+//! no panics and no phantom-route hits, and the `sierra` baseline column
+//! must be bitwise-identical to the committed golden documents, in paper
+//! order (machine parameterisation is an extension, never a perturbation,
+//! of the single-machine paths).
 //!
 //! One `run_matrix` call covers all of it: the baseline column re-executes
 //! the full registry on sierra, every other column re-executes only the
 //! machine-sensitive experiments (`pipeline-overlap`, `um-oversubscription`,
 //! `collective-overlap`) and reuses the baseline cells for the rest — the
-//! design that keeps a 16-preset sweep inside a unit-test budget.
+//! design that keeps a 16-preset sweep inside a unit-test budget. The same
+//! matrix's per-column summary lines (what `experiments matrix` prints)
+//! are checked here too.
 
 use hetsim::machines::preset_names;
 use icoe::exp::document_json;
 use icoe::{Cell, ExpParams};
-use std::path::Path;
+use xtests::golden;
 
 #[test]
 fn registry_survives_every_preset_and_sierra_matches_the_goldens() {
@@ -54,22 +56,38 @@ fn registry_survives_every_preset_and_sierra_matches_the_goldens() {
         }
     }
 
-    // The sierra column IS the single-machine suite, byte for byte.
-    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden");
-    for cell in &matrix.baseline().cells {
+    // Each column's summary line, as `experiments matrix` prints it.
+    let all = bench::ALL.len();
+    for (i, col) in matrix.columns.iter().enumerate() {
+        let want = if i == 0 {
+            format!("sierra         ran {all}  reused  0  failed 0  phantom_link_hits 0")
+        } else {
+            format!(
+                "{:<14} ran  3  reused {:>2}  failed 0  phantom_link_hits 0",
+                col.machine,
+                all - sensitive.len()
+            )
+        };
+        assert_eq!(col.summary(false), want);
+    }
+    assert_eq!(
+        matrix.baseline().summary(true),
+        format!(
+            "{{\"machine\":\"sierra\",\"ran\":{all},\"reused\":0,\"failed\":0,\"phantom_link_hits\":0}}"
+        )
+    );
+
+    // The sierra column IS the single-machine suite, byte for byte, in
+    // paper order.
+    let baseline = &matrix.baseline().cells;
+    assert_eq!(baseline.len(), all);
+    for (cell, &id) in baseline.iter().zip(bench::ALL) {
         let Cell::Ran(run) = cell else {
             panic!("baseline reuses nothing")
         };
+        assert_eq!(run.id, id, "sierra column out of paper order");
         let out = run.outcome.as_ref().expect("baseline cell succeeded");
         let doc = document_json(run.id, &out.report, &out.recorder, 0.0);
-        let path = golden_dir.join(format!("{}.json", run.id));
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
-        assert_eq!(
-            doc,
-            golden.trim_end_matches('\n'),
-            "{}: sierra matrix cell differs from the committed golden",
-            run.id
-        );
+        golden::assert_matches(id, "sierra matrix cell", &doc);
     }
 }
