@@ -246,6 +246,16 @@ impl<E: Clone> EventQueue<E> {
         }
         match epoch.cmp(&self.head_epoch) {
             Ordering::Equal => self.insert_head((key, ev)),
+            // Inside the window: straight into its bucket, the branch in
+            // which `admit` moves nothing, without its window arithmetic.
+            // (`epoch >= base`, so the wrapped difference is exact.)
+            Ordering::Greater
+                if epoch >= self.base
+                    && (epoch.wrapping_sub(self.base) as u64) < self.ring.len() as u64 =>
+            {
+                let slot = epoch as usize & (self.ring.len() - 1);
+                self.put(slot, epoch, (key, ev));
+            }
             Ordering::Greater => self.file(epoch, (key, ev)),
             Ordering::Less => self.push_past(epoch, (key, ev)),
         }

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod des;
+mod fast_hash;
 pub mod kernel;
 pub mod machines;
 pub mod mem;

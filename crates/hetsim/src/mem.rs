@@ -44,9 +44,9 @@
 //! experiment reproduces and checks.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::fast_hash::FastMap;
 use crate::sim::{Loc, TransferKind};
 use crate::spec::Machine;
 use crate::unified::PAGE_BYTES;
@@ -154,12 +154,12 @@ struct Region {
 pub struct MemTracker {
     policy: OomPolicy,
     /// Capacity per location, bytes. Missing entries are unbounded.
-    caps: HashMap<Loc, f64>,
-    in_use: HashMap<Loc, f64>,
-    high_water: HashMap<Loc, f64>,
+    caps: FastMap<Loc, f64>,
+    in_use: FastMap<Loc, f64>,
+    high_water: FastMap<Loc, f64>,
     /// Every location with a capacity or a use entry, in label order.
     locs: Vec<Loc>,
-    regions: HashMap<u64, Region>,
+    regions: FastMap<u64, Region>,
     tick: u64,
     next_id: u64,
 }
@@ -343,7 +343,10 @@ impl MemTracker {
         let kind = self.spill_kind();
         while deficit > EPS {
             // LRU victim: the least recently touched region with resident
-            // bytes at `loc` (never the region being faulted in).
+            // bytes at `loc` (never the region being faulted in). Every
+            // alloc and touch takes a fresh tick, so `last_touch` is unique
+            // and the victim does not depend on the order `regions`
+            // iterates in; keep it so.
             let victim = self
                 .regions
                 .iter()

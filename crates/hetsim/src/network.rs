@@ -46,8 +46,8 @@ use std::sync::Mutex;
 use serde::Serialize;
 
 use crate::des::TrackBank;
-
-use crate::obs::{Recorder, SpanKind, Sym};
+use crate::fast_hash::FastMap;
+use crate::obs::{Batch, Recorder, SpanKind, Sym};
 use crate::sim::Event;
 use crate::spec::{Machine, NetworkSpec, TopologySpec};
 
@@ -157,8 +157,9 @@ fn unit_hash(seed: u64, rank: u64) -> f64 {
     (mixed >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Mutable event-driven state: the NIC clocks and the flow table.
-#[derive(Debug, Default)]
+/// Mutable event-driven state: the NIC clocks, the flow table and the
+/// point-to-point span names.
+#[derive(Debug, Default, Clone)]
 struct NetState {
     /// Busy-until clock per rank's NIC injection track (lazily grown) —
     /// a dense [`TrackBank`] on the unified `des` clock storage, the same
@@ -166,6 +167,10 @@ struct NetState {
     nic: TrackBank,
     /// In-flight point-to-point flows as `(start, end)` intervals.
     flows: Vec<(f64, f64)>,
+    /// `p2p:<src>-><dst>` span names by `(src, dst)`, formatted and
+    /// interned once per attached recorder (cleared when another is
+    /// attached; kept across [`Network::reset`]).
+    p2p_syms: FastMap<(usize, usize), Sym>,
 }
 
 /// How many `nic<r>.inj` tracks emit timeline spans. Runs with thousands of
@@ -279,10 +284,7 @@ impl Clone for Network {
             topology: self.topology.clone(),
             algo: self.algo,
             straggler: self.straggler,
-            state: Mutex::new(NetState {
-                nic: state.nic.clone(),
-                flows: state.flows.clone(),
-            }),
+            state: Mutex::new(state.clone()),
             recorder: self.recorder.clone(),
             syms: self.syms,
         }
@@ -333,6 +335,11 @@ impl Network {
     /// counter, NIC track and collective span names on it.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.syms = NetSyms::for_recorder(&recorder);
+        self.state
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .p2p_syms
+            .clear();
         self.recorder = recorder;
     }
 
@@ -374,7 +381,10 @@ impl Network {
     /// the recorder so a reused recorder cannot leak stale network metrics
     /// into the next measurement.
     pub fn reset(&self) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = NetState::default();
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        s.nic = TrackBank::new();
+        s.flows.clear();
+        drop(s);
         self.recorder.remove_prefixed("net.");
     }
 
@@ -396,12 +406,13 @@ impl Network {
     /// `net.seconds` by simulated duration. A hierarchical allreduce counts
     /// **once**, not once per phase — Fig 2 / Fig 3 message counts must
     /// stay comparable across algorithms.
-    fn note(&self, kind: &str, msgs: u64, volume: f64, seconds: f64) {
+    ///
+    /// Returns the open batch (`None` when tracing is off), so the caller
+    /// records the operation's spans under the same lock.
+    fn note(&self, kind: &str, msgs: u64, volume: f64, seconds: f64) -> Option<Batch<'_>> {
         // One lock, pre-interned names for every known kind: no hash
         // lookup and no per-op format allocation on the injection path.
-        let Some(mut batch) = self.recorder.batch() else {
-            return;
-        };
+        let mut batch = self.recorder.batch()?;
         batch.incr(self.syms.ops, msgs as f64);
         batch.incr(self.syms.bytes, volume);
         batch.incr(self.syms.seconds, seconds);
@@ -409,6 +420,7 @@ impl Network {
             Some(i) => batch.incr(self.syms.kinds[i], msgs as f64),
             None => batch.incr(format!("net.{kind}"), msgs as f64),
         }
+        Some(batch)
     }
 
     fn alpha(&self) -> f64 {
@@ -570,7 +582,7 @@ impl Network {
     pub fn ip2p(&self, src: usize, dst: usize, bytes: f64, after: Option<Event>) -> Event {
         let src = src.min(self.ranks.saturating_sub(1));
         let dst = dst.min(self.ranks.saturating_sub(1));
-        let (start, end) = {
+        let (start, end, name) = {
             let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
             s.nic.ensure(self.ranks);
             let start = s.nic.time(src).max(after.map(|e| e.time).unwrap_or(0.0));
@@ -590,17 +602,21 @@ impl Network {
             let end = start + dur;
             s.flows.push((start, end));
             s.nic.set(src, end);
-            (start, end)
+            (start, end, s.p2p_syms.get(&(src, dst)).copied())
         };
-        self.note("p2p", 1, bytes, end - start);
-        if self.recorder.is_enabled() && src < NIC_SPAN_TRACKS {
-            self.recorder.record_span(
-                format!("p2p:{src}->{dst}"),
-                SpanKind::Transfer,
-                self.syms.nics[src],
-                start,
-                end,
-            );
+        let Some(mut batch) = self.note("p2p", 1, bytes, end - start) else {
+            return Event::at(end);
+        };
+        if src < NIC_SPAN_TRACKS {
+            let name = name.unwrap_or_else(|| {
+                let sym = batch.intern(&format!("p2p:{src}->{dst}"));
+                // First sight of the route: the one nested lock, taken
+                // in the recorder-then-state order nothing else reverses.
+                let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                s.p2p_syms.insert((src, dst), sym);
+                sym
+            });
+            batch.record_span(name, SpanKind::Transfer, self.syms.nics[src], start, end);
         }
         Event::at(end)
     }
@@ -637,21 +653,16 @@ impl Network {
             (start, dur)
         };
         let end = start + dur;
-        if self.ranks == 1 {
+        let batch = if self.ranks == 1 {
             // Counted as one (free) operation, exactly as v1 did.
-            self.note(kind.as_str(), 1, 0.0, 0.0);
+            self.note(kind.as_str(), 1, 0.0, 0.0)
         } else {
             // One collective, once — a hierarchical allreduce does NOT count
             // its intra/inter phases separately. Collective volume: every
             // rank injects its payload.
-            self.note(kind.as_str(), 1, bytes * n, dur);
-        }
-        let batch = if dur > 0.0 {
-            self.recorder.batch()
-        } else {
-            None
+            self.note(kind.as_str(), 1, bytes * n, dur)
         };
-        if let Some(mut batch) = batch {
+        if let Some(mut batch) = batch.filter(|_| dur > 0.0) {
             let name = self.syms.span(algo, kind);
             for &track in &self.syms.nics[..self.ranks.min(NIC_SPAN_TRACKS)] {
                 batch.record_span(name, SpanKind::Collective, track, start, end);

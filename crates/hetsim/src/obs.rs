@@ -57,9 +57,11 @@
 //! assert_eq!(rec.counter("flops"), 2.0e9);
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+use crate::fast_hash::FastMap;
 
 pub mod json;
 
@@ -155,14 +157,14 @@ struct Interner {
     /// Symbol id → name.
     names: Vec<String>,
     /// Name → symbol id (the only per-new-name allocation site).
-    lookup: HashMap<String, u32>,
+    lookup: FastMap<String, u32>,
 }
 
 impl Interner {
     fn with_capacity(cap: usize) -> Interner {
         Interner {
             names: Vec::with_capacity(cap),
-            lookup: HashMap::with_capacity(cap),
+            lookup: FastMap::with_capacity_and_hasher(cap, Default::default()),
         }
     }
 

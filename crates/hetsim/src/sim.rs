@@ -23,9 +23,9 @@
 //! be regenerated.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use crate::des::TrackBank;
+use crate::fast_hash::FastMap;
 use crate::kernel::KernelProfile;
 use crate::mem::{MemId, MemTracker, Migration, OomError, OomPolicy};
 use crate::obs::{Batch, Recorder, SpanKind, Sym};
@@ -275,7 +275,7 @@ pub struct Sim {
     clocks: TrackBank,
     /// Each clock's slot in `clocks` and `track_syms`, interned on first
     /// touch and kept across [`Sim::reset`].
-    slots: HashMap<SimTrack, usize>,
+    slots: FastMap<SimTrack, usize>,
     /// Each slot's interned timeline label (`gpu0.s0`, `gpu0.h2d`, …),
     /// formatted on the clock's first span under the attached recorder.
     track_syms: Vec<Option<Sym>>,
@@ -289,7 +289,7 @@ pub struct Sim {
     mem_syms: Vec<(Loc, Sym, Sym)>,
     /// `xfer <src>-><dst> (<bytes> B)` span names, keyed by route and the
     /// bytes' bits, formatted and interned once per attached recorder.
-    xfer_syms: HashMap<(Loc, Loc, u64), Sym>,
+    xfer_syms: FastMap<(Loc, Loc, u64), Sym>,
     /// Per-location memory-capacity accounting (capacities from the
     /// machine's specs; [`OomPolicy::Fail`] by default).
     mem: MemTracker,
@@ -310,11 +310,11 @@ impl Sim {
         Sim {
             machine,
             clocks: TrackBank::new(),
-            slots: HashMap::new(),
+            slots: FastMap::default(),
             track_syms: Vec::new(),
             hot_syms: HotSyms::for_recorder(&recorder),
             mem_syms: Vec::new(),
-            xfer_syms: HashMap::new(),
+            xfer_syms: FastMap::default(),
             recorder,
             mem,
             moves: Vec::new(),

@@ -7,8 +7,12 @@
 //!   under the span's own lock, track, metric and transfer names are
 //!   cached symbols, the migration plan fills a buffer the `Sim` reuses,
 //!   and `Recorder::reset` keeps every buffer.
+//!   A node-step-shaped cycle (allocate, touch and free a working set
+//!   1.5x the device) reuses its regions' and locations' map slots.
 //! * `Network`: a hierarchical allreduce, whose span name and `nic<r>.inj`
-//!   track names are interned when the recorder is attached.
+//!   track names are interned when the recorder is attached, and
+//!   point-to-point flows, whose `p2p:<src>-><dst>` names are interned on
+//!   each route's first flow.
 //! * the `hetsim::des` kernel: ring buckets, the head and the overflow
 //!   keep their buffers across rounds, so the steady state of both event
 //!   shapes the workspace drives allocates nothing — the node-step round
@@ -84,6 +88,11 @@ const COLLECTIVES: usize = 64;
 /// Unified-memory regions of 1 GiB: 1.5x a sierra GPU's 16 GiB, so every
 /// touch of a sequential sweep migrates.
 const REGIONS: usize = 24;
+/// Measured alloc-touch-free cycles of `REGIONS` regions.
+const CYCLES: usize = 4;
+/// Ranks of the point-to-point exchange: every one shows a NIC track.
+const P2P_RANKS: usize = 8;
+const EXCHANGES: usize = 64;
 
 /// A sierra node under unified-memory spill with an enabled recorder.
 fn um_sim(rec: &Recorder) -> Sim {
@@ -212,6 +221,78 @@ fn warm_migrating_touch_allocates_nothing() {
         "{allocs} allocations across {REGIONS} warm migrating touches"
     );
     assert_eq!(rec.span_count(), 2 * REGIONS);
+}
+
+#[test]
+fn warm_alloc_touch_free_cycle_allocates_nothing() {
+    let rec = Recorder::enabled();
+    let mut sim = um_sim(&rec);
+    let mut ids = Vec::with_capacity(REGIONS);
+    // node-step's memory phase: the working set is allocated, swept once
+    // (every touch migrates) and freed, step after step.
+    let cycle = |sim: &mut Sim, ids: &mut Vec<_>| {
+        ids.clear();
+        for _ in 0..REGIONS {
+            ids.push(sim.alloc(Loc::Gpu(0), GIB).expect("fits on the host"));
+        }
+        for &id in ids.iter() {
+            sim.touch_mem(id).expect("spills to the host");
+        }
+        for &id in ids.iter() {
+            sim.free(id);
+        }
+    };
+
+    cycle(&mut sim, &mut ids);
+    rec.reset();
+
+    let allocs = allocs_in(|| {
+        for _ in 0..CYCLES {
+            cycle(&mut sim, &mut ids);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations across {CYCLES} warm alloc-touch-free cycles"
+    );
+    assert_eq!(sim.mem().live_regions(), 0);
+    assert_eq!(sim.mem().in_use(Loc::Gpu(0)), 0.0);
+    // Every touch migrated: a page-in, plus an eviction once the device
+    // is full.
+    assert!(rec.span_count() >= CYCLES * REGIONS);
+}
+
+#[test]
+fn warm_ip2p_allocates_nothing() {
+    let rec = Recorder::enabled();
+    let net = Network::for_machine(&machines::sierra(), P2P_RANKS).with_recorder(rec.clone());
+    // Every rank sends to its two ring neighbours.
+    let exchange = |net: &Network| {
+        for src in 0..P2P_RANKS {
+            for dst in [(src + 1) % P2P_RANKS, (src + P2P_RANKS - 1) % P2P_RANKS] {
+                net.ip2p(src, dst, 1e6, None);
+            }
+        }
+    };
+
+    exchange(&net);
+    rec.reset();
+
+    let allocs = allocs_in(|| {
+        for _ in 0..EXCHANGES {
+            exchange(&net);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations across {EXCHANGES} warm neighbour exchanges"
+    );
+    // One span per flow, under its route's name.
+    let spans = rec.spans();
+    assert_eq!(spans.len(), EXCHANGES * 2 * P2P_RANKS);
+    assert_eq!(spans[0].name, "p2p:0->1");
+    assert_eq!(spans[1].name, format!("p2p:0->{}", P2P_RANKS - 1));
+    assert_eq!(rec.counter("net.p2p"), (EXCHANGES * 2 * P2P_RANKS) as f64);
 }
 
 #[test]
